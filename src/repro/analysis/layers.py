@@ -20,15 +20,15 @@ PLANNER_NODES = 2
 
 
 # ----------------------------------------------------------------- Workloads
-def gen_workloads(system: str) -> list:
-    """Records of one workload-scenario suite on a shared timeline."""
-    from ..bench.figures import workload_scenarios_table
-    from ..machine.machines import by_name
+def workload_records(machine, results, payload_bytes: int) -> list:
+    """Scenario, job, and busiest-resource records of a scenario suite.
 
-    machine = by_name(system, nodes=4)
-    results = workload_scenarios_table(machine, PAYLOAD)
+    ``results`` are the suite's workload results, in order
+    (``bench.figures.workload_scenarios_table``); ``repro workloads`` and
+    :func:`gen_workloads` both render through these records.
+    """
     records = [{"row": "meta", "system": machine.name,
-                "machine": machine.describe(), "payload_bytes": PAYLOAD}]
+                "machine": machine.describe(), "payload_bytes": payload_bytes}]
     for result in results:
         records.append({
             "row": "scenario",
@@ -56,6 +56,16 @@ def gen_workloads(system: str) -> list:
                 "fraction": frac,
             })
     return records
+
+
+def gen_workloads(system: str) -> list:
+    """Records of one workload-scenario suite on a shared timeline."""
+    from ..bench.figures import workload_scenarios_table
+    from ..machine.machines import by_name
+
+    machine = by_name(system, nodes=4)
+    results = workload_scenarios_table(machine, PAYLOAD)
+    return workload_records(machine, results, PAYLOAD)
 
 
 def render_workloads(records: list) -> str:

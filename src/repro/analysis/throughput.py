@@ -97,9 +97,35 @@ def _fig8_speedup_records(system: str, rows, baseline_label: str,
     return records
 
 
+def fig8_records(machine, rows, payload_bytes: int) -> list:
+    """Meta, bound, and bar records of one Figure 8 panel (no speedups).
+
+    ``rows`` are the panel's measurements (``bench.figures.fig8_system``);
+    ``repro bench`` renders these records as they are, while
+    :func:`gen_fig8` appends the speedup sections of the committed panels.
+    """
+    from ..bench.figures import fig8_bounds
+
+    records = [{"row": "meta", "system": machine.name,
+                "machine": machine.describe(),
+                "payload_bytes": payload_bytes}]
+    for name, b in fig8_bounds(machine).items():
+        records.append({"row": "bound", "collective": name, **b})
+    for m in rows:
+        records.append({
+            "row": "bar",
+            "collective": m.collective,
+            "implementation": m.implementation,
+            "payload_bytes": m.payload_bytes,
+            "seconds": m.seconds,
+            "throughput": m.throughput,
+        })
+    return records
+
+
 def gen_fig8(system: str) -> list:
     """Records of one Figure 8 panel: bars, bounds, and speedup sections."""
-    from ..bench.figures import fig8_bounds, fig8_system
+    from ..bench.figures import fig8_system
     from ..machine import machines
     from ..transport.library import VENDOR_LIBRARY
 
@@ -111,22 +137,7 @@ def gen_fig8(system: str) -> list:
 
     machine = machines.by_name(system, nodes=4)
     rows = fig8_system(machine, FIG8_PAYLOAD)
-    bounds = fig8_bounds(machine)
-
-    records = [{"row": "meta", "system": system,
-                "machine": machine.describe(),
-                "payload_bytes": FIG8_PAYLOAD}]
-    for name, b in bounds.items():
-        records.append({"row": "bound", "collective": name, **b})
-    for m in rows:
-        records.append({
-            "row": "bar",
-            "collective": m.collective,
-            "implementation": m.implementation,
-            "payload_bytes": m.payload_bytes,
-            "seconds": m.seconds,
-            "throughput": m.throughput,
-        })
+    records = fig8_records(machine, rows, FIG8_PAYLOAD)
 
     def by_impl(prefix):
         out = {}

@@ -1,18 +1,17 @@
 """Data generators for every figure and table of the paper's evaluation.
 
 Each ``figN_*`` function returns plain data (dicts / lists of
-:class:`~repro.bench.runner.Measurement`) plus a ``render_*`` helper that
-formats it as the text analogue of the paper's plot.  The pytest-benchmark
-files under ``benchmarks/`` call these and print the rendered output, so
-running ``pytest benchmarks/ --benchmark-only -s`` regenerates the entire
-evaluation section.
+:class:`~repro.bench.runner.Measurement`).  The :mod:`repro.analysis`
+registry flattens that data into records and owns the one renderer per
+figure, so the committed ``benchmarks/output`` baselines, ``repro figures``,
+``repro bench`` and ``repro workloads`` all print through the same code.
+Also home to the engine-comparison helpers behind ``repro sim``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..baselines.ccl_like import ccl_collective
 from ..core.communicator import Communicator
 from ..core.composition import FIGURE8_ORDER
 from ..machine.nic import binding_table, nic_loads, utilization
@@ -34,7 +33,7 @@ from .configs import (
     striped_config,
     tree_config,
 )
-from .runner import Measurement, payload_count, run_baseline, run_hiccl
+from .runner import Measurement, run_baseline, run_hiccl
 
 # --------------------------------------------------------------------- Fig 1
 def fig1_broadcast_volume(nodes: int = 2, gpus_per_node: int = 3,
@@ -60,16 +59,6 @@ def fig1_broadcast_volume(nodes: int = 2, gpus_per_node: int = 3,
         comm.init(hierarchy=hierarchy, library=libs)
         out[label] = comm.schedule.volume_by_kind(machine)
     return out
-
-
-def render_fig1(data: dict[str, dict[str, int]], count: int = 1024) -> str:
-    """Text rendering of Figure 1's volume comparison."""
-    lines = ["Figure 1: broadcast volume across 2 nodes x 3 GPUs (units of d)"]
-    for label, vols in data.items():
-        inter = vols["inter-node"] / count
-        intra = vols["intra-node"] / count
-        lines.append(f"  {label:13s} inter-node={inter:.0f}d intra-node={intra:.0f}d")
-    return "\n".join(lines)
 
 
 # --------------------------------------------------------------------- Fig 2
@@ -99,18 +88,6 @@ def fig2_bindings() -> list[dict]:
     return out
 
 
-def render_fig2(data: list[dict]) -> str:
-    """Text rendering of Figure 2's binding diagrams."""
-    lines = ["Figure 2: GPU-to-NIC bindings"]
-    for case in data:
-        arrows = " ".join(f"g{g}->n{n}" for g, n in case["table"])
-        lines.append(
-            f"  ({case['panel']}) {case['policy']:12s} g={case['g']} k={case['k']}: "
-            f"{arrows}  loads={case['loads']} util={case['utilization']:.0%}"
-        )
-    return "\n".join(lines)
-
-
 # --------------------------------------------------------------------- Fig 5
 FIG5_FACTORIZATIONS = [
     ("a", [3, 8]),
@@ -125,14 +102,6 @@ FIG5_FACTORIZATIONS = [
 def fig5_trees() -> list[tuple[str, TreeTopology]]:
     """The six 24-GPU factorizations of Figure 5."""
     return [(panel, TreeTopology(factors, 24)) for panel, factors in FIG5_FACTORIZATIONS]
-
-
-def render_fig5() -> str:
-    """Text rendering of Figure 5's six tree structures."""
-    lines = ["Figure 5: tree structures across 24 GPUs"]
-    for panel, topo in fig5_trees():
-        lines.append(f"({panel}) {topo.ascii_tree()}")
-    return "\n".join(lines)
 
 
 # --------------------------------------------------------------------- Fig 6
@@ -191,18 +160,6 @@ def fig7_matrices(count: int = 1 << 12) -> dict[str, dict]:
             "library": comm.schedule.library_matrix(comm.plan.libraries),
         }
     return out
-
-
-def render_fig7(matrices: dict[str, dict]) -> str:
-    """Text rendering of Figure 7's communication matrices."""
-    lines = ["Figure 7 (bottom): hierarchical communication matrices"]
-    for label, mats in matrices.items():
-        lines.append(f"  [{label}] sending GPU x receiving GPU (library initial)")
-        lib = mats["library"]
-        for src, row in enumerate(lib):
-            cells = "".join((cell[0] if cell else ".") for cell in row)
-            lines.append(f"    {src:2d} {cells}")
-    return "\n".join(lines)
 
 
 # --------------------------------------------------------------------- Fig 8
@@ -268,31 +225,6 @@ def fig8_bounds(machine: MachineSpec) -> dict[str, dict[str, float]]:
     return out
 
 
-def render_fig8(machine: MachineSpec, rows: list[Measurement],
-                bounds: dict[str, dict[str, float]]) -> str:
-    """Text rendering of one Figure 8 panel (bars + bound frames)."""
-    by_coll: dict[str, list[Measurement]] = {}
-    for m in rows:
-        by_coll.setdefault(m.collective, []).append(m)
-    lines = [
-        f"Figure 8 ({machine.name}): peak collective throughput, GB/s "
-        f"({machine.describe()})"
-    ]
-    for name in FIGURE8_ORDER:
-        if name not in by_coll:
-            continue
-        b = bounds[name]
-        lines.append(
-            f"  {name} [theoretical {b['theoretical']:.1f}, achievable "
-            f"{b['achievable']:.1f}, empirical({b['empirical_kind']}) "
-            f"{b['empirical']:.1f}]"
-        )
-        for m in by_coll[name]:
-            bar = "#" * max(1, int(m.throughput / max(b["achievable"], 1e-9) * 40))
-            lines.append(f"    {m.implementation:18s} {m.throughput:8.2f}  {bar}")
-    return "\n".join(lines)
-
-
 # --------------------------------------------------------------------- Fig 9
 FIG9_CASES = {
     # (collective, topology): Figure 9's four panels on Perlmutter.
@@ -326,42 +258,6 @@ def fig9_curves(machine: MachineSpec, collective: str,
     return out
 
 
-def fig9_references(machine: MachineSpec, collective: str,
-                    payloads_bytes) -> dict[str, list[Measurement]]:
-    """MPICH and NCCL (or NCCL-p2p) reference curves for a Fig 9 panel."""
-    out: dict[str, list[Measurement]] = {"mpich": [], "nccl": []}
-    for pb in payloads_bytes:
-        m = run_baseline(machine, collective, "mpi", payload_bytes=pb,
-                         warmup=0, rounds=1)
-        if m:
-            out["mpich"].append(m)
-        count = payload_count(machine, pb)
-        try:
-            vrun = ccl_collective(machine, collective, count,
-                                  materialize=False, include_p2p=True)
-        except Exception:
-            continue
-        seconds = vrun.measure(warmup=0, rounds=1)
-        out["nccl"].append(Measurement(machine.name, collective, "nccl",
-                                       count * machine.world_size * 4, seconds))
-    return out
-
-
-def render_fig9(collective: str, curves: dict[int, list[Measurement]]) -> str:
-    """Text rendering of one Figure 9 panel (GB/s by size and depth)."""
-    lines = [f"Figure 9 ({collective}, {FIG9_CASES[collective]}): GB/s by "
-             "buffer size (rows) and pipeline depth m (columns)"]
-    depths = sorted(curves)
-    payloads = [m.payload_bytes for m in curves[depths[0]]]
-    header = f"{'payload':>10s}" + "".join(f"  m={d:<5d}" for d in depths)
-    lines.append(header)
-    for i, pb in enumerate(payloads):
-        label = f"{pb / (1 << 20):.2g}MB" if pb < (1 << 30) else f"{pb / (1 << 30):.2g}GB"
-        cells = "".join(f"{curves[d][i].throughput:8.2f}" for d in depths)
-        lines.append(f"{label:>10s}{cells}")
-    return "\n".join(lines)
-
-
 # ---------------------------------------------------------- Workload scenarios
 def workload_scenarios_table(machine: MachineSpec,
                              payload_bytes: int | None = None,
@@ -386,67 +282,7 @@ def workload_scenarios_table(machine: MachineSpec,
     return run_scenarios(names, machine, payload_bytes, jobs=jobs)
 
 
-def render_workloads(machine: MachineSpec, results) -> str:
-    """Text rendering of the scenario suite (the committed baseline format)."""
-    lines = [
-        f"Workload scenarios ({machine.name}): concurrent collectives on one "
-        f"shared timeline ({machine.describe()})"
-    ]
-    for result in results:
-        lines.append("")
-        lines.append(result.render())
-    return "\n".join(lines)
-
-
 # ------------------------------------------------------- Simulation engines
-def fig9_sweep_curves(machine: MachineSpec, collective: str,
-                      payloads_bytes=None,
-                      depths=FIG9_DEPTHS,
-                      engine: str = "auto") -> dict[int, list[Measurement]]:
-    """One Figure 9 panel priced as a payload *sweep* (one lowering per depth).
-
-    Instead of re-composing and re-lowering the collective at every buffer
-    size like :func:`fig9_curves`, each pipeline depth is lowered once at the
-    largest payload and the rest of the x-axis comes from
-    :func:`repro.simulator.engine.simulate_sweep` — the static pricing and
-    (on the level engine) the leveling are shared across the whole grid.
-    Grid points match :func:`fig9_curves` bit-for-bit whenever the lowered
-    structure is payload-invariant, which holds for the committed Figure 9
-    configurations' power-of-two sizes; ``benchmarks/`` keeps calling
-    :func:`fig9_curves` so the committed baselines are independent of this
-    path.
-    """
-    import numpy as np
-
-    from ..core.composition import compose
-    from ..simulator.engine import simulate_sweep
-
-    if payloads_bytes is None:
-        payloads_bytes = [1 << s for s in range(14, 31, 2)]  # 16 KB .. 1 GB
-    topology = FIG9_CASES[collective]
-    base_pb = max(payloads_bytes)
-    base_count = payload_count(machine, base_pb)
-    scales = tuple(pb / base_pb for pb in payloads_bytes)
-    out: dict[int, list[Measurement]] = {}
-    for m_depth in depths:
-        if topology == "ring":
-            cfg = ring_config(machine, pipeline=m_depth)
-        else:
-            cfg = tree_config(machine, pipeline=m_depth)
-        comm = Communicator(machine, dtype=np.float32, materialize=False)
-        compose(comm, collective, base_count)
-        comm.init(**cfg.init_kwargs())
-        results = simulate_sweep(comm.schedule, machine, comm.plan.libraries,
-                                 4, scales, engine=engine)
-        out[m_depth] = [
-            Measurement(machine.name, collective, f"hiccl-{cfg.name}",
-                        int(round(base_count * scale)) * machine.world_size * 4,
-                        r.elapsed)
-            for scale, r in zip(scales, results)
-        ]
-    return out
-
-
 def pipeline_stage_schedule(machine: MachineSpec, microbatches: int = 4,
                             count: int = 1 << 20):
     """Dependency-chained pipeline-parallel traffic (one schedule, no fences
@@ -577,7 +413,6 @@ def fig10_scaling(machine_factory, node_counts=(2, 4, 8, 16, 32, 64),
     series["mpi"] = {}
     for nodes in node_counts:
         machine = machine_factory(nodes)
-        count = payload_count(machine, payload_bytes)
         for d in depths:
             cfg = ring_config(machine, pipeline=d)
             meas = run_hiccl(machine, "all_reduce", cfg,
@@ -593,18 +428,3 @@ def fig10_scaling(machine_factory, node_counts=(2, 4, 8, 16, 32, 64),
         if mpi:
             series["mpi"][nodes] = mpi.throughput
     return series
-
-
-def render_fig10(system: str, series: dict[str, dict[int, float]]) -> str:
-    """Text rendering of one Figure 10 panel (GB/s by node count)."""
-    lines = [f"Figure 10 ({system}): All-reduce throughput (GB/s) vs nodes"]
-    names = sorted(series)
-    node_counts = sorted({n for s in series.values() for n in s})
-    header = f"{'series':>12s}" + "".join(f"{n:>9d}" for n in node_counts)
-    lines.append(header)
-    for name in names:
-        cells = "".join(
-            f"{series[name].get(n, float('nan')):>9.2f}" for n in node_counts
-        )
-        lines.append(f"{name:>12s}{cells}")
-    return "\n".join(lines)

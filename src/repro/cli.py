@@ -136,7 +136,6 @@ def cmd_tune(args) -> int:
                 ("--budget", args.budget is not None),
                 ("--top", args.top is not None),
                 ("--no-library-search", args.no_library_search),
-                ("--sweep-rungs", args.sweep_rungs),
             ) if given
         ]
         if ignored:
@@ -168,15 +167,10 @@ def cmd_tune(args) -> int:
     if args.budget is not None and args.budget < 1:
         print("error: --budget must be >= 1")
         return 2
-    budget = None
-    if args.budget is not None or args.sweep_rungs:
-        budget_kwargs = {"sweep_rungs": args.sweep_rungs}
-        if args.budget is not None:
-            budget_kwargs["max_full"] = args.budget
-        budget = SearchBudget(**budget_kwargs)
     result = plan_collective(
         machine, args.collective, _parse_size(args.payload),
-        space=space, budget=budget, strategy=strategy,
+        space=space, budget=SearchBudget(max_full=args.budget),
+        strategy=strategy,
         jobs=args.jobs if args.jobs is not None else 1,
     )
     print(f"planning {args.collective} on {machine.describe()} "
@@ -209,7 +203,8 @@ def cmd_bench(args) -> int:
     """Run the Figure 8 measurement grid, optionally across worker processes."""
     import time
 
-    from .bench.figures import fig8_bounds, fig8_points, render_fig8
+    from .analysis.throughput import fig8_records, render_fig8
+    from .bench.figures import fig8_points
     from .bench.parallel import default_jobs, run_sweep
     from .core.composition import FIGURE8_ORDER
     from .core.plancache import get_cache
@@ -217,13 +212,14 @@ def cmd_bench(args) -> int:
     machine = _machine(args)
     collectives = (args.collectives.split(",") if args.collectives
                    else list(FIGURE8_ORDER))
-    points = fig8_points(machine, _parse_size(args.payload), collectives)
+    payload = _parse_size(args.payload)
+    points = fig8_points(machine, payload, collectives)
     jobs = args.jobs if args.jobs != 0 else default_jobs()
     t0 = time.perf_counter()
     results = run_sweep(points, jobs=jobs, cache_dir=args.cache_dir)
     elapsed = time.perf_counter() - t0
     rows = [m for m in results if m is not None]
-    print(render_fig8(machine, rows, fig8_bounds(machine)))
+    print(render_fig8(fig8_records(machine, rows, payload)))
     print()
     print(f"{len(rows)} points in {elapsed:.2f}s with jobs={jobs}")
     if jobs <= 1:
@@ -334,7 +330,8 @@ def cmd_cache(args) -> int:
 
 def cmd_workloads(args) -> int:
     """Run ML traffic scenarios: concurrent collectives on a shared timeline."""
-    from .bench.figures import render_workloads, workload_scenarios_table
+    from .analysis.layers import render_workloads, workload_records
+    from .bench.figures import workload_scenarios_table
     from .workloads.scenarios import SCENARIOS, applicable_scenarios
 
     if args.list:
@@ -346,10 +343,11 @@ def cmd_workloads(args) -> int:
         return 0
     machine = _machine(args)
     names = args.scenarios or applicable_scenarios(machine)
+    payload = _parse_size(args.payload)
     results = workload_scenarios_table(
-        machine, _parse_size(args.payload), names=names, jobs=args.jobs
+        machine, payload, names=names, jobs=args.jobs
     )
-    print(render_workloads(machine, results))
+    print(render_workloads(workload_records(machine, results, payload)))
     return 0
 
 
@@ -823,10 +821,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "(default 1,4,16,32; 1,2,4,8 with --workload)")
     p.add_argument("--no-library-search", action="store_true",
                    help="fix per-level libraries to the Table 5 policy")
-    p.add_argument("--sweep-rungs", action="store_true",
-                   help="price the halving rungs from one full-payload "
-                        "lowering per survivor (payload sweep) instead of "
-                        "re-lowering at each truncated payload")
     p.add_argument("--workload", action="store_true",
                    help="treat the positional argument as a workload "
                         "scenario and tune its groups against the "

@@ -1,6 +1,5 @@
 """HiCCL core: primitives, composition, factorization, communicator."""
 
-from .autotune import Candidate, TuneResult, hierarchy_candidates, tune
 from .buffers import BufferHandle, BufferView
 from .communicator import Communicator
 from .composition import COLLECTIVES, FIGURE8_ORDER, compose
@@ -20,15 +19,11 @@ from .vcollectives import (
 
 __all__ = [
     "BufferHandle",
-    "Candidate",
-    "TuneResult",
     "V_COLLECTIVES",
     "compose_all_gatherv",
     "compose_gatherv",
     "compose_reduce_scatterv",
     "compose_scatterv",
-    "hierarchy_candidates",
-    "tune",
     "BufferView",
     "COLLECTIVES",
     "CachedPlan",

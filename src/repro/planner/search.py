@@ -1,7 +1,9 @@
 """Staged, model-guided, parallel plan search.
 
-The legacy autotuner priced **every** grid point with a full-payload
-synthesis + simulation.  The planner replaces that with four stages:
+``strategy="grid"`` prices **every** grid point with a full-payload
+synthesis + simulation: the exhaustive reference the equivalence tests
+compare against.  The default ``strategy="staged"`` searches in four
+stages:
 
 1. **Generate** — a :class:`~repro.planner.space.SearchSpace` enumerates all
    five parameters, including the per-level library vector the grid search
@@ -10,10 +12,11 @@ synthesis + simulation.  The planner replaces that with four stages:
    every remaining candidate whose *sound* analytic lower bound
    (:func:`repro.planner.score.lower_bound_seconds`) cannot beat the
    incumbent is discarded without ever being lowered.
-3. **Successive halving** — survivors are priced at truncated payloads
-   (``payload / f`` for each factor in the budget's ``truncate_factors``),
-   keeping only the top fraction per rung, exactly like a real autotuner
-   running cheap short measurements before committing to long ones.
+3. **Successive halving** — survivors are recomposed, lowered, and priced
+   at truncated payloads (``payload / f`` for each factor in the budget's
+   ``truncate_factors``), keeping only the top fraction per rung, exactly
+   like a real autotuner running cheap short measurements before committing
+   to long ones.
 4. **Finalists** — the few remaining candidates are priced at the full
    payload; the best one wins.  :class:`SearchStats` counts every stage so
    tests can assert the contract: full-payload simulations on at most a
@@ -56,16 +59,6 @@ class SearchBudget:
     never fewer than ``min_finalists``) advances.  ``max_full`` caps
     full-payload simulations *including seeds*; ``None`` derives the cap
     from the legacy grid size as ``max(min_finalists + seeds, grid // 3)``.
-
-    ``sweep_rungs`` replaces the rung mechanism: instead of re-lowering each
-    survivor at every truncated payload, each survivor is lowered *once* at
-    full payload and the rung timings come from a payload sweep
-    (:func:`repro.simulator.engine.simulate_sweep` — one leveling, scaled
-    pricing).  Rung rankings are then exact whenever lowering is
-    payload-structure-invariant and approximate otherwise, which is why it
-    is opt-in; the full-payload evaluations of the finalists are unchanged
-    either way (and hit the plan cache warm, since the sweep already
-    lowered them).
     """
 
     truncate_factors: tuple[int, ...] = (16, 4)
@@ -73,7 +66,6 @@ class SearchBudget:
     min_finalists: int = 2
     seeds: int = 2
     max_full: int | None = None
-    sweep_rungs: bool = False
 
     def full_cap(self, grid_size: int) -> int:
         """Full-payload simulation cap for a given exhaustive-grid size."""
@@ -209,57 +201,6 @@ def _evaluate(
     ]
 
 
-@dataclass(frozen=True)
-class _SweepTask:
-    """One candidate's full lowering + payload-sweep pricing (sweep rungs)."""
-
-    program: object
-    machine: MachineSpec
-    candidate: PlanCandidate
-    dtype_name: str
-    scales: tuple[float, ...]
-
-    def run(self) -> tuple[float, ...] | None:
-        """Lower once at full payload; rung seconds from the scaled sweep."""
-        from ..simulator.engine import simulate_sweep
-
-        comm = Communicator(
-            self.machine, dtype=np.dtype(self.dtype_name), materialize=False
-        )
-        comm.program = self.program
-        try:
-            comm.init(**self.candidate.init_kwargs())
-        except HicclError:
-            return None
-        results = simulate_sweep(
-            comm.schedule, self.machine, comm.plan.libraries,
-            np.dtype(self.dtype_name).itemsize, self.scales,
-        )
-        return tuple(r.elapsed for r in results)
-
-
-def _sweep_evaluate(
-    candidates: list[PlanCandidate],
-    program,
-    machine: MachineSpec,
-    dtype_name: str,
-    scales: tuple[float, ...],
-    jobs: int,
-    cache_dir,
-) -> dict[PlanCandidate, tuple[float, ...]]:
-    """Rung seconds per candidate from one sweep each; invalid ones dropped."""
-    from ..bench.parallel import run_tasks
-
-    tasks = [
-        _SweepTask(program, machine, cand, dtype_name, scales)
-        for cand in candidates
-    ]
-    rows = run_tasks(tasks, jobs=jobs, cache_dir=cache_dir)
-    return {
-        cand: row for cand, row in zip(candidates, rows) if row is not None
-    }
-
-
 def _ranked(pairs: list[tuple[PlanCandidate, float]]) -> list[tuple[PlanCandidate, float]]:
     return sorted(pairs, key=lambda cs: (cs[1], cs[0].sort_key()))
 
@@ -393,28 +334,7 @@ def search_program(
     stats.pruned = len(rest) - len(survivors)
 
     rungs: list[int] = []
-    if scalable and budget.sweep_rungs and budget.truncate_factors and survivors:
-        # Sweep rungs: each survivor is lowered once at full payload; every
-        # rung's timing is one grid point of a payload sweep over that same
-        # lowering (one leveling, scaled pricing).
-        scales = tuple(1.0 / f for f in budget.truncate_factors)
-        swept = _sweep_evaluate(
-            survivors, program, machine, dtype.name, scales, jobs, cache_dir,
-        )
-        for k, _factor in enumerate(budget.truncate_factors):
-            if not survivors:
-                break
-            rungs.append(len(survivors))
-            stats.truncated_evals += len(survivors)
-            scored = [
-                (c, swept[c][k]) for c in survivors if c in swept
-            ]
-            keep = max(
-                budget.min_finalists,
-                math.ceil(len(scored) * budget.keep_fraction),
-            )
-            survivors = _stratified_keep(_ranked(scored), keep)
-    elif scalable:
+    if scalable:
         for factor in budget.truncate_factors:
             if not survivors:
                 break

@@ -2,11 +2,11 @@
 
 The paper's optimization space (Section 4.1) has five inputs: the hierarchy
 factor vector, the per-level library vector, the NIC striping factor, the
-ring node count, and the pipeline depth.  The old grid search
-(``repro.core.autotune``) fixed the library vector by policy (Table 5: best
-inter-node p2p backend between nodes, IPC within) and enumerated the other
-four; this module makes the library vector a *searchable dimension* with the
-policy as the default seed, and packages the whole space as a
+ring node count, and the pipeline depth.  The legacy grid fixes the library
+vector by policy (Table 5: best inter-node p2p backend between nodes, IPC
+within) and enumerates the other four; this module makes the library vector
+a *searchable dimension* with the policy as the default seed, and packages
+the whole space as a
 :class:`SearchSpace` the staged search (:mod:`repro.planner.search`) can
 enumerate, prune, and price.
 
@@ -181,9 +181,9 @@ class SearchSpace:
     ) -> "SearchSpace":
         """Assemble the default space for ``machine``.
 
-        ``inter_library`` pins a single inter-node backend (the legacy
-        ``tune`` parameter); ``inter_libraries`` lists several to search
-        over; by default :func:`default_inter_libraries` decides.
+        ``inter_library`` pins a single inter-node backend;
+        ``inter_libraries`` lists several to search over; by default
+        :func:`default_inter_libraries` decides.
         """
         if inter_libraries is None:
             if inter_library is not None:
@@ -276,9 +276,10 @@ class SearchSpace:
     def grid_candidates(self) -> list[PlanCandidate]:
         """The legacy exhaustive grid: policy libraries, default backend only.
 
-        This is exactly what ``repro.core.autotune.tune`` used to price in
-        full, and therefore the denominator of the planner's "full
-        simulations on at most a third of the grid" budget.
+        The denominator of the planner's "full simulations on at most a
+        third of the grid" budget.  A space built with
+        ``search_libraries=False`` and one inter-node backend holds exactly
+        these candidates.
         """
         return list(self._grid)
 

@@ -65,6 +65,11 @@ ENV_SOCKET = "REPRO_SERVICE_SOCKET"
 #: How many nearest machines donate warm-start candidates per cold plan.
 WARM_NEIGHBORS = 2
 
+#: Longest request frame the daemon reads, line terminator included.  A
+#: longer line is answered with a ``ProtocolError`` frame and its connection
+#: is closed, so no client can make the daemon buffer an unbounded line.
+MAX_FRAME_BYTES = 1 << 20
+
 
 def default_socket_path() -> Path:
     """Default Unix socket path (honors ``REPRO_SERVICE_SOCKET``)."""
@@ -344,10 +349,20 @@ class _Handler(socketserver.StreamRequestHandler):
     def handle(self) -> None:  # noqa: D102 - socketserver contract
         while True:
             try:
-                line = self.rfile.readline()
+                line = self.rfile.readline(MAX_FRAME_BYTES + 1)
             except (ConnectionError, OSError):
                 return
             if not line:
+                return
+            if len(line) > MAX_FRAME_BYTES:
+                # The rest of the line is still unread; resynchronizing on
+                # it would misparse its tail as frames, so drop the client.
+                error = ProtocolError(
+                    f"frame exceeds {MAX_FRAME_BYTES} bytes; closing")
+                try:
+                    self.wfile.write(encode_frame(error_frame(None, error)))
+                except (ConnectionError, OSError):
+                    pass
                 return
             try:
                 frame = decode_frame(line)

@@ -7,7 +7,6 @@ from .engine import (
     WorkloadTimingResult,
     busy_gigabytes,
     simulate,
-    simulate_sweep,
     simulate_workload,
 )
 from .executor import critical_path_length, execute, materialize_scratch, random_topological_order
@@ -27,10 +26,8 @@ from .timing import (
     booking_columns,
     bookings_at,
     price_op,
-    price_ops,
     price_schedule,
     price_schedule_columns,
-    price_schedule_sweep,
 )
 from .trace import (
     TraceEvent,
@@ -63,13 +60,10 @@ __all__ = [
     "make_template",
     "materialize_scratch",
     "price_op",
-    "price_ops",
     "price_schedule",
     "price_schedule_columns",
-    "price_schedule_sweep",
     "random_topological_order",
     "simulate",
-    "simulate_sweep",
     "simulate_workload",
     "TraceEvent",
     "ascii_gantt",

@@ -49,7 +49,7 @@ from ..transport.library import Library
 from .level import (LEVEL_MIN_OPS, attempt_level, graph_leveling,
                     schedule_leveling)
 from .timing import (PricedOp, columns_from_priced, price_schedule,
-                     price_schedule_columns, price_schedule_sweep)
+                     price_schedule_columns)
 
 #: Engine selectors accepted by :func:`simulate` / :func:`simulate_workload`.
 #: ``auto`` tries the levelized fast path on graphs worth the setup and
@@ -254,21 +254,6 @@ def _graph_arrays(schedule: Schedule) -> tuple[list[int], list[list[int]]]:
     return indegree, dependents
 
 
-def _level_result(cols, dep_indptr, dep_indices, leveling) -> TimingResult | None:
-    """Certified levelized solve packaged as a TimingResult, or ``None``."""
-    solved = attempt_level(cols, dep_indptr, dep_indices, leveling)
-    if solved is None:
-        return None
-    start, comp, busy = solved
-    return TimingResult(
-        elapsed=float(comp.max()),
-        start_times=start.tolist(),
-        completion_times=comp.tolist(),
-        resource_busy=busy,
-        engine="level",
-    )
-
-
 def simulate(
     schedule: Schedule,
     machine: MachineSpec,
@@ -291,10 +276,17 @@ def simulate(
 
     if engine == "level" or (engine == "auto" and n >= LEVEL_MIN_OPS):
         cols = price_schedule_columns(schedule, machine, libraries, elem_bytes)
-        result = _level_result(cols, schedule.dep_indptr,
-                               schedule.dep_indices, schedule_leveling(schedule))
-        if result is not None:
-            return result
+        solved = attempt_level(cols, schedule.dep_indptr, schedule.dep_indices,
+                               schedule_leveling(schedule))
+        if solved is not None:
+            start, comp, busy = solved
+            return TimingResult(
+                elapsed=float(comp.max()),
+                start_times=start.tolist(),
+                completion_times=comp.tolist(),
+                resource_busy=busy,
+                engine="level",
+            )
 
     priced: list[PricedOp] = price_schedule(schedule, machine, libraries,
                                             elem_bytes)
@@ -313,56 +305,6 @@ def simulate(
         completion_times=completion,
         resource_busy=busy,
     )
-
-
-def simulate_sweep(
-    schedule: Schedule,
-    machine: MachineSpec,
-    libraries: tuple[Library, ...],
-    elem_bytes: int,
-    scales,
-    engine: str = "auto",
-) -> list[TimingResult]:
-    """Simulate one schedule at many payload scales, one leveling shared.
-
-    Prices the whole payload grid through
-    :func:`~repro.simulator.timing.price_schedule_sweep` (static pricing
-    computed once) and levels the dependency graph once; each grid point
-    then costs only a per-level solve plus the certificate.  Grid points
-    whose certificate fails fall back to the event loop individually.
-    Every returned result is bit-identical to ``simulate`` on a schedule
-    carrying the scaled counts whenever the scale is a power of two (see
-    ``price_schedule_sweep``); structure is payload-independent here by
-    construction since all points share one lowering.
-    """
-    _check_engine(engine)
-    n = len(schedule)
-    scales = list(scales)
-    if not n:
-        return [TimingResult(0.0, [], [], {}) for _ in scales]
-
-    cols_grid = price_schedule_sweep(schedule, machine, libraries,
-                                     elem_bytes, scales)
-    leveling = schedule_leveling(schedule) if engine != "event" else None
-    results = []
-    for cols in cols_grid:
-        result = None
-        if leveling is not None:
-            result = _level_result(cols, schedule.dep_indptr,
-                                   schedule.dep_indices, leveling)
-        if result is None:
-            indegree, dependents = _graph_arrays(schedule)
-            start_times, completion, busy, done = _run_graph(
-                cols.to_priced(), dependents, indegree, [0.0] * n
-            )
-            if done != n:
-                raise ExecutionError(
-                    f"dependency deadlock: only {done}/{n} ops executed"
-                )
-            result = TimingResult(max(completion), start_times,
-                                  completion, busy)
-        results.append(result)
-    return results
 
 
 # ------------------------------------------------------- concurrent workloads

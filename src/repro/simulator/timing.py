@@ -242,88 +242,13 @@ class PricedColumns:
             return np.zeros(0)
         return self.res_dur.max(axis=1)
 
-    def to_priced(self) -> list[PricedOp]:
-        """Materialize the equivalent ``PricedOp`` objects (fallback path)."""
-        out: list[PricedOp] = []
-        ids = self.res_id.tolist()
-        durs = self.res_dur.tolist()
-        alpha = self.alpha.tolist()
-        gamma = self.gamma.tolist()
-        for i in range(len(self)):
-            resources = tuple(
-                (self.resource_key(rid), dur)
-                for rid, dur in zip(ids[i], durs[i])
-                if rid >= 0
-            )
-            out.append(PricedOp(resources, alpha[i], gamma[i]))
-        return out
-
-
-def price_ops(
-    ops: list[P2POp],
-    machine: MachineSpec,
-    libraries: tuple[Library, ...],
-    elem_bytes: int,
-) -> list[PricedOp]:
-    """Price a list of op records at once.
-
-    Bit-identical to mapping :func:`price_op` over ``ops`` (the arithmetic is
-    performed in the same order on the same float64 values), but the per-op
-    cost-model evaluation is vectorized with numpy.  Prefer
-    :func:`price_schedule` for a :class:`~repro.core.schedule.Schedule` —
-    it reads the schedule's array columns directly instead of materializing
-    per-op objects.
-    """
-    n = len(ops)
-    if n < BATCH_MIN_OPS:
-        return [price_op(op, machine, libraries, elem_bytes) for op in ops]
-
-    src = np.fromiter((op.src for op in ops), np.int64, n)
-    dst = np.fromiter((op.dst for op in ops), np.int64, n)
-    count = np.fromiter((op.count for op in ops), np.float64, n)
-    level = np.fromiter(
-        (-1 if op.level is None else op.level for op in ops), np.int64, n
-    )
-    reduces = np.fromiter((op.reduce_op is not None for op in ops), np.bool_, n)
-    return _price_arrays(ops, src, dst, count, level, reduces,
-                         machine, libraries, elem_bytes)
-
-
-def price_schedule(
-    schedule,
-    machine: MachineSpec,
-    libraries: tuple[Library, ...],
-    elem_bytes: int,
-) -> list[PricedOp]:
-    """Price a whole schedule straight from its array columns.
-
-    Bit-identical to :func:`price_ops` over ``schedule.ops`` (same float64
-    values through the same operations) without materializing any
-    :class:`~repro.core.schedule.P2POp` views; this is what lets the event
-    engine price six-figure op counts in well under a second.
-    """
-    n = len(schedule)
-    if n < BATCH_MIN_OPS:
-        return [price_op(op, machine, libraries, elem_bytes)
-                for op in schedule.ops]
-    src = schedule.src.astype(np.int64)
-    dst = schedule.dst.astype(np.int64)
-    count = schedule.count.astype(np.float64)
-    level = schedule.level.astype(np.int64)
-    reduces = schedule.reduce >= 0
-    return _price_arrays(schedule, src, dst, count, level, reduces,
-                         machine, libraries, elem_bytes)
-
 
 @dataclass
-class _StaticCosts:
-    """Payload-independent pricing columns, reusable across a payload sweep.
+class _Costs:
+    """Per-op arrays of the vectorized cost model over one schedule."""
 
-    Everything here is a function of op endpoints, levels, and the machine —
-    never of ``count`` — so a payload sweep computes it once and reprices
-    only the :func:`_dynamic_costs` arrays per grid point.
-    """
-
+    src: np.ndarray  # (n,) int64 endpoints
+    dst: np.ndarray
     local: np.ndarray  # (n,) bool masks, mutually exclusive
     inter: np.ndarray
     intra: np.ndarray
@@ -333,55 +258,43 @@ class _StaticCosts:
     dst_nic: np.ndarray
     lvl_idx: np.ndarray  # intra-node physical level; -1 off the intra mask
     alpha: np.ndarray
-    kernel_scale: np.ndarray
-    flow_bw: np.ndarray  # inter-node single-flow rate (already eff-scaled)
-    intra_bw: np.ndarray  # intra-node link rate (already eff-scaled)
-    # Degraded machines book each endpoint at its own rate; ``None`` on a
-    # healthy machine (where tx == rx and the fields above are the only
-    # rates).  When set, ``flow_bw``/``intra_bw`` hold the tx side.
-    wire_bw_tx: np.ndarray | None = None  # per-op derated src-NIC rate
-    wire_bw_rx: np.ndarray | None = None  # per-op derated dst-NIC rate
-    flow_bw_rx: np.ndarray | None = None
-    intra_bw_rx: np.ndarray | None = None
-
-
-@dataclass
-class _DynamicCosts:
-    """Payload-dependent pricing columns (everything scaling with ``count``)."""
-
     gamma: np.ndarray
     dur_local: np.ndarray
+    # tx/rx sides of each booking; on a healthy machine the rx arrays are
+    # the tx arrays themselves.
     wire: np.ndarray
+    wire_rx: np.ndarray
     endpoint: np.ndarray
+    endpoint_rx: np.ndarray
     dur_intra: np.ndarray
-    # rx-side durations on a degraded machine; ``None`` (== tx) when healthy.
-    wire_rx: np.ndarray | None = None
-    endpoint_rx: np.ndarray | None = None
-    dur_intra_rx: np.ndarray | None = None
+    dur_intra_rx: np.ndarray
 
 
-def _static_costs(
-    source,
-    src: np.ndarray,
-    dst: np.ndarray,
-    level: np.ndarray,
+def _price_core(
+    schedule,
     machine: MachineSpec,
     libraries: tuple[Library, ...],
     elem_bytes: int,
-) -> _StaticCosts:
-    """Payload-independent half of the pricing core (masks, alpha, rates)."""
-    n = src.shape[0]
+) -> _Costs:
+    """Vectorized :func:`price_op` over a schedule's array columns.
 
-    def op_at(i: int) -> P2POp:
-        ops = source.ops if hasattr(source, "ops") else source
-        return ops[i]
+    Every array is the element-wise float64 expression :func:`price_op`
+    evaluates, in the same order, so batch and scalar pricing are
+    bit-identical; ``schedule.ops`` is only touched to name an offending op.
+    """
+    src = schedule.src.astype(np.int64)
+    dst = schedule.dst.astype(np.int64)
+    count = schedule.count.astype(np.float64)
+    level = schedule.level.astype(np.int64)
+    reduces = schedule.reduce >= 0
+    n = src.shape[0]
 
     local = src == dst
     rates = rates_for(machine)
     if rates is not None:
         bad_drained = rates.drained[src] | rates.drained[dst]
         if bad_drained.any():
-            bad = op_at(int(np.argmax(bad_drained)))
+            bad = schedule.ops[int(np.argmax(bad_drained))]
             raise FaultError(
                 f"op {bad.uid}: endpoint on a drained node "
                 f"({bad.src} -> {bad.dst}); drained nodes carry no traffic "
@@ -389,7 +302,7 @@ def _static_costs(
             )
     bad_level = ~local & ((level < 0) | (level >= len(libraries)))
     if bad_level.any():
-        bad = op_at(int(np.argmax(bad_level)))
+        bad = schedule.ops[int(np.argmax(bad_level))]
         raise ValueError(f"op {bad.uid} has no valid library level: {bad.level}")
 
     g = machine.gpus_per_node
@@ -430,10 +343,10 @@ def _static_costs(
     src_nic = nic_table[la]
     dst_nic = nic_table[lb]
 
-    wire_bw_tx = wire_bw_rx = flow_bw_rx = intra_bw_rx = None
     if rates is None:
         flow_bw = min(machine.nic_bandwidth, machine.injection_bandwidth) * eff_inter
         intra_bw = level_bw * eff_intra
+        flow_bw_rx, intra_bw_rx = flow_bw, intra_bw
     else:
         # Element-wise the same float expressions as the degraded branch of
         # price_op, so scalar and batch pricing stay bit-identical.
@@ -445,107 +358,90 @@ def _static_costs(
         flow_bw_rx = np.minimum(wire_bw_rx, inj_rate[dst]) * eff_inter
         intra_bw = (level_bw * rates.link_scale[src, lvl_safe]) * eff_intra
         intra_bw_rx = (level_bw * rates.link_scale[dst, lvl_safe]) * eff_intra
-    bad_flow = inter & (flow_bw <= 0)
-    if rates is not None:
-        bad_flow |= inter & (flow_bw_rx <= 0)
+    bad_flow = inter & ((flow_bw <= 0) | (flow_bw_rx <= 0))
     if bad_flow.any():
         # Raises the canonical single-op error message.
-        price_op(op_at(int(np.argmax(bad_flow))), machine, libraries, elem_bytes)
-    bad_intra = intra & (intra_bw <= 0)
-    if rates is not None:
-        bad_intra |= intra & (intra_bw_rx <= 0)
+        price_op(schedule.ops[int(np.argmax(bad_flow))], machine, libraries,
+                 elem_bytes)
+    bad_intra = intra & ((intra_bw <= 0) | (intra_bw_rx <= 0))
     if bad_intra.any():
         # Raises the canonical single-op error message.
-        price_op(op_at(int(np.argmax(bad_intra))), machine, libraries, elem_bytes)
+        price_op(schedule.ops[int(np.argmax(bad_intra))], machine, libraries,
+                 elem_bytes)
 
-    return _StaticCosts(
-        local=local, inter=inter, intra=intra,
-        src_node=src_node, dst_node=dst_node,
-        src_nic=src_nic, dst_nic=dst_nic,
-        lvl_idx=lvl_idx, alpha=alpha, kernel_scale=kernel_scale,
-        flow_bw=flow_bw, intra_bw=intra_bw,
-        wire_bw_tx=wire_bw_tx, wire_bw_rx=wire_bw_rx,
-        flow_bw_rx=flow_bw_rx, intra_bw_rx=intra_bw_rx,
-    )
-
-
-def _dynamic_costs(
-    st: _StaticCosts,
-    count: np.ndarray,
-    reduces: np.ndarray,
-    machine: MachineSpec,
-    elem_bytes: int,
-) -> _DynamicCosts:
-    """Payload-dependent half of the pricing core (durations and gamma)."""
-    n = count.shape[0]
     gb = (count * elem_bytes) / 1.0e9  # same order as _gb(count * elem_bytes)
-
     red_time = gb / machine.reduce_bandwidth
     gamma = np.zeros(n)
-    gamma = np.where(reduces & st.local, red_time + machine.kernel_latency, gamma)
+    gamma = np.where(reduces & local, red_time + machine.kernel_latency, gamma)
     gamma = np.where(
-        reduces & ~st.local,
-        red_time + machine.kernel_latency * st.kernel_scale, gamma,
+        reduces & ~local,
+        red_time + machine.kernel_latency * kernel_scale, gamma,
     )
 
     dur_local = gb / machine.copy_bandwidth
-    if st.wire_bw_tx is None:
-        wire = gb / machine.nic_bandwidth
+    if rates is None:
+        wire = wire_rx = gb / machine.nic_bandwidth
         with np.errstate(divide="ignore"):
-            endpoint = np.where(
-                st.flow_bw > 0, gb / np.where(st.flow_bw > 0, st.flow_bw, 1.0), 0.0
+            endpoint = endpoint_rx = np.where(
+                flow_bw > 0, gb / np.where(flow_bw > 0, flow_bw, 1.0), 0.0
             )
-        dur_intra = gb / np.where(st.intra_bw > 0, st.intra_bw, 1.0)
-        return _DynamicCosts(gamma=gamma, dur_local=dur_local, wire=wire,
-                             endpoint=endpoint, dur_intra=dur_intra)
+        dur_intra = dur_intra_rx = gb / np.where(intra_bw > 0, intra_bw, 1.0)
+    else:
+        # Degraded machine: tx and rx sides priced at their own rates.
+        wire = gb / wire_bw_tx
+        wire_rx = gb / wire_bw_rx
+        endpoint = gb / np.where(flow_bw > 0, flow_bw, 1.0)
+        endpoint_rx = gb / np.where(flow_bw_rx > 0, flow_bw_rx, 1.0)
+        dur_intra = gb / np.where(intra_bw > 0, intra_bw, 1.0)
+        dur_intra_rx = gb / np.where(intra_bw_rx > 0, intra_bw_rx, 1.0)
 
-    # Degraded machine: tx and rx sides priced at their own rates.
-    wire = gb / st.wire_bw_tx
-    wire_rx = gb / st.wire_bw_rx
-    endpoint = gb / np.where(st.flow_bw > 0, st.flow_bw, 1.0)
-    endpoint_rx = gb / np.where(st.flow_bw_rx > 0, st.flow_bw_rx, 1.0)
-    dur_intra = gb / np.where(st.intra_bw > 0, st.intra_bw, 1.0)
-    dur_intra_rx = gb / np.where(st.intra_bw_rx > 0, st.intra_bw_rx, 1.0)
-    return _DynamicCosts(gamma=gamma, dur_local=dur_local, wire=wire,
-                         endpoint=endpoint, dur_intra=dur_intra,
-                         wire_rx=wire_rx, endpoint_rx=endpoint_rx,
-                         dur_intra_rx=dur_intra_rx)
+    return _Costs(
+        src=src, dst=dst, local=local, inter=inter, intra=intra,
+        src_node=src_node, dst_node=dst_node,
+        src_nic=src_nic, dst_nic=dst_nic, lvl_idx=lvl_idx,
+        alpha=alpha, gamma=gamma, dur_local=dur_local,
+        wire=wire, wire_rx=wire_rx, endpoint=endpoint,
+        endpoint_rx=endpoint_rx, dur_intra=dur_intra,
+        dur_intra_rx=dur_intra_rx,
+    )
 
 
-def _price_arrays(
-    source,
-    src: np.ndarray,
-    dst: np.ndarray,
-    count: np.ndarray,
-    level: np.ndarray,
-    reduces: np.ndarray,
+def price_schedule(
+    schedule,
     machine: MachineSpec,
     libraries: tuple[Library, ...],
     elem_bytes: int,
 ) -> list[PricedOp]:
-    """Shared vectorized pricing core; ``source`` only feeds error paths."""
-    n = src.shape[0]
-    st = _static_costs(source, src, dst, level, machine, libraries, elem_bytes)
-    dyn = _dynamic_costs(st, count, reduces, machine, elem_bytes)
+    """Price a whole schedule straight from its array columns.
+
+    Bit-identical to mapping :func:`price_op` over ``schedule.ops`` (same
+    float64 values through the same operations) without materializing any
+    :class:`~repro.core.schedule.P2POp` views; this is what lets the event
+    engine price six-figure op counts in well under a second.
+    """
+    if len(schedule) < BATCH_MIN_OPS:
+        return [price_op(op, machine, libraries, elem_bytes)
+                for op in schedule.ops]
+    c = _price_core(schedule, machine, libraries, elem_bytes)
 
     # Assemble the PricedOp records from plain python scalars (one .tolist()
     # per array beats a quarter-million numpy scalar __getitem__ calls).
-    src_l, dst_l = src.tolist(), dst.tolist()
-    src_node_l, dst_node_l = st.src_node.tolist(), st.dst_node.tolist()
-    src_nic_l, dst_nic_l = st.src_nic.tolist(), st.dst_nic.tolist()
-    alpha_l, gamma_l = st.alpha.tolist(), dyn.gamma.tolist()
-    dur_local_l, wire_l = dyn.dur_local.tolist(), dyn.wire.tolist()
-    endpoint_l, dur_intra_l = dyn.endpoint.tolist(), dyn.dur_intra.tolist()
-    wire_rx_l = wire_l if dyn.wire_rx is None else dyn.wire_rx.tolist()
-    endpoint_rx_l = (endpoint_l if dyn.endpoint_rx is None
-                     else dyn.endpoint_rx.tolist())
-    dur_intra_rx_l = (dur_intra_l if dyn.dur_intra_rx is None
-                      else dyn.dur_intra_rx.tolist())
-    lvl_idx_l = st.lvl_idx.tolist()
-    local_l, inter_l = st.local.tolist(), st.inter.tolist()
+    src_l, dst_l = c.src.tolist(), c.dst.tolist()
+    src_node_l, dst_node_l = c.src_node.tolist(), c.dst_node.tolist()
+    src_nic_l, dst_nic_l = c.src_nic.tolist(), c.dst_nic.tolist()
+    alpha_l, gamma_l = c.alpha.tolist(), c.gamma.tolist()
+    dur_local_l, wire_l = c.dur_local.tolist(), c.wire.tolist()
+    endpoint_l, dur_intra_l = c.endpoint.tolist(), c.dur_intra.tolist()
+    wire_rx_l = wire_l if c.wire_rx is c.wire else c.wire_rx.tolist()
+    endpoint_rx_l = (endpoint_l if c.endpoint_rx is c.endpoint
+                     else c.endpoint_rx.tolist())
+    dur_intra_rx_l = (dur_intra_l if c.dur_intra_rx is c.dur_intra
+                      else c.dur_intra_rx.tolist())
+    lvl_idx_l = c.lvl_idx.tolist()
+    local_l, inter_l = c.local.tolist(), c.inter.tolist()
 
     out: list[PricedOp] = []
-    for i in range(n):
+    for i in range(len(src_l)):
         if local_l[i]:
             resources: tuple = ((("copy", src_l[i]), dur_local_l[i]),)
         elif inter_l[i]:
@@ -565,67 +461,6 @@ def _price_arrays(
     return out
 
 
-def _assemble_columns(
-    src: np.ndarray,
-    dst: np.ndarray,
-    st: _StaticCosts,
-    dyn: _DynamicCosts,
-) -> PricedColumns:
-    """Pack static + dynamic pricing into slot-form resource columns.
-
-    Slot layout mirrors the tuple order of :func:`price_op` exactly: local
-    ops book ``copy`` in slot 0; inter-node ops book ``nic_tx``/``nic_rx``/
-    ``inj_tx``/``inj_rx`` in slots 0-3; intra-node ops book ``link_tx``/
-    ``link_rx`` in slots 0-1.
-    """
-    n = src.shape[0]
-    res_id = np.full((n, 4), -1, dtype=np.int64)
-    res_dur = np.zeros((n, 4))
-
-    loc = st.local
-    res_id[loc, 0] = _encode_resource(_KIND_CODES["copy"], src[loc])
-    res_dur[loc, 0] = dyn.dur_local[loc]
-
-    wire_rx = dyn.wire if dyn.wire_rx is None else dyn.wire_rx
-    endpoint_rx = dyn.endpoint if dyn.endpoint_rx is None else dyn.endpoint_rx
-    dur_intra_rx = (dyn.dur_intra if dyn.dur_intra_rx is None
-                    else dyn.dur_intra_rx)
-
-    itr = st.inter
-    res_id[itr, 0] = _encode_resource(
-        _KIND_CODES["nic_tx"], st.src_node[itr], st.src_nic[itr])
-    res_id[itr, 1] = _encode_resource(
-        _KIND_CODES["nic_rx"], st.dst_node[itr], st.dst_nic[itr])
-    res_id[itr, 2] = _encode_resource(_KIND_CODES["inj_tx"], src[itr])
-    res_id[itr, 3] = _encode_resource(_KIND_CODES["inj_rx"], dst[itr])
-    res_dur[itr, 0] = dyn.wire[itr]
-    res_dur[itr, 1] = wire_rx[itr]
-    res_dur[itr, 2] = dyn.endpoint[itr]
-    res_dur[itr, 3] = endpoint_rx[itr]
-
-    ita = st.intra
-    res_id[ita, 0] = _encode_resource(
-        _KIND_CODES["link_tx"], src[ita], st.lvl_idx[ita])
-    res_id[ita, 1] = _encode_resource(
-        _KIND_CODES["link_rx"], dst[ita], st.lvl_idx[ita])
-    res_dur[ita, 0] = dyn.dur_intra[ita]
-    res_dur[ita, 1] = dur_intra_rx[ita]
-
-    return PricedColumns(alpha=st.alpha, gamma=dyn.gamma,
-                         res_id=res_id, res_dur=res_dur)
-
-
-def _schedule_pricing_inputs(schedule):
-    """Schedule columns widened to the dtypes the pricing core expects."""
-    return (
-        schedule.src.astype(np.int64),
-        schedule.dst.astype(np.int64),
-        schedule.count.astype(np.float64),
-        schedule.level.astype(np.int64),
-        schedule.reduce >= 0,
-    )
-
-
 def price_schedule_columns(
     schedule,
     machine: MachineSpec,
@@ -638,58 +473,46 @@ def price_schedule_columns(
     :func:`price_schedule`, just laid out as arrays instead of
     :class:`PricedOp` objects — the levelized engine's timing math is
     bit-identical to the event loop's because both consume these numbers.
+    Slot layout mirrors the tuple order of :func:`price_op` exactly: local
+    ops book ``copy`` in slot 0; inter-node ops book ``nic_tx``/``nic_rx``/
+    ``inj_tx``/``inj_rx`` in slots 0-3; intra-node ops book ``link_tx``/
+    ``link_rx`` in slots 0-1.
     """
     n = len(schedule)
+    res_id = np.full((n, 4), -1, dtype=np.int64)
+    res_dur = np.zeros((n, 4))
     if n == 0:
-        return PricedColumns(
-            alpha=np.zeros(0), gamma=np.zeros(0),
-            res_id=np.full((0, 4), -1, dtype=np.int64),
-            res_dur=np.zeros((0, 4)),
-        )
-    src, dst, count, level, reduces = _schedule_pricing_inputs(schedule)
-    st = _static_costs(schedule, src, dst, level, machine, libraries, elem_bytes)
-    dyn = _dynamic_costs(st, count, reduces, machine, elem_bytes)
-    return _assemble_columns(src, dst, st, dyn)
+        return PricedColumns(alpha=np.zeros(0), gamma=np.zeros(0),
+                             res_id=res_id, res_dur=res_dur)
+    c = _price_core(schedule, machine, libraries, elem_bytes)
+    src, dst = c.src, c.dst
 
+    loc = c.local
+    res_id[loc, 0] = _encode_resource(_KIND_CODES["copy"], src[loc])
+    res_dur[loc, 0] = c.dur_local[loc]
 
-def price_schedule_sweep(
-    schedule,
-    machine: MachineSpec,
-    libraries: tuple[Library, ...],
-    elem_bytes: int,
-    scales,
-) -> list[PricedColumns]:
-    """Price one schedule at many payload sizes, sharing the static half.
+    itr = c.inter
+    res_id[itr, 0] = _encode_resource(
+        _KIND_CODES["nic_tx"], c.src_node[itr], c.src_nic[itr])
+    res_id[itr, 1] = _encode_resource(
+        _KIND_CODES["nic_rx"], c.dst_node[itr], c.dst_nic[itr])
+    res_id[itr, 2] = _encode_resource(_KIND_CODES["inj_tx"], src[itr])
+    res_id[itr, 3] = _encode_resource(_KIND_CODES["inj_rx"], dst[itr])
+    res_dur[itr, 0] = c.wire[itr]
+    res_dur[itr, 1] = c.wire_rx[itr]
+    res_dur[itr, 2] = c.endpoint[itr]
+    res_dur[itr, 3] = c.endpoint_rx[itr]
 
-    ``scales`` multiplies each op's element count; masks, resource ids,
-    alpha, and effective rates are computed once and only the durations and
-    gamma are repriced per grid point.  When a scale is an exact power of
-    two, scaling the counts commutes with float64 rounding, so the grid
-    point is bit-identical to pricing a schedule lowered with the scaled
-    counts — provided lowering at that payload would produce the same op
-    structure (fig8/fig9's power-of-two payload grids and the planner's
-    truncation rungs are exactly this case).
+    ita = c.intra
+    res_id[ita, 0] = _encode_resource(
+        _KIND_CODES["link_tx"], src[ita], c.lvl_idx[ita])
+    res_id[ita, 1] = _encode_resource(
+        _KIND_CODES["link_rx"], dst[ita], c.lvl_idx[ita])
+    res_dur[ita, 0] = c.dur_intra[ita]
+    res_dur[ita, 1] = c.dur_intra_rx[ita]
 
-    The returned columns share the ``res_id`` array; treat it as read-only.
-    """
-    n = len(schedule)
-    if n == 0:
-        return [price_schedule_columns(schedule, machine, libraries, elem_bytes)
-                for _ in scales]
-    src, dst, count, level, reduces = _schedule_pricing_inputs(schedule)
-    st = _static_costs(schedule, src, dst, level, machine, libraries, elem_bytes)
-    out = []
-    shared_ids: np.ndarray | None = None
-    for scale in scales:
-        dyn = _dynamic_costs(st, count * float(scale), reduces,
-                             machine, elem_bytes)
-        cols = _assemble_columns(src, dst, st, dyn)
-        if shared_ids is None:
-            shared_ids = cols.res_id
-        else:
-            cols.res_id = shared_ids
-        out.append(cols)
-    return out
+    return PricedColumns(alpha=c.alpha, gamma=c.gamma,
+                         res_id=res_id, res_dur=res_dur)
 
 
 # ----------------------------------------------------------- booking replay

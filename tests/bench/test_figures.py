@@ -1,11 +1,22 @@
 """Tests for the figure data generators (fast subset; full runs live in
-benchmarks/)."""
+benchmarks/), rendered through the ``repro.analysis`` renderers."""
 
 from __future__ import annotations
 
 import pytest
 
 from repro import machines
+from repro.analysis.structure import (
+    gen_fig1_volume,
+    gen_fig2_bindings,
+    gen_fig5_trees,
+    gen_fig7_matrices,
+    render_fig1_volume,
+    render_fig2_bindings,
+    render_fig5_trees,
+    render_fig7_matrices,
+)
+from repro.analysis.throughput import gen_fig9, render_fig9
 from repro.bench.configs import ring_config, tree_config
 from repro.bench.figures import (
     FIG5_FACTORIZATIONS,
@@ -15,11 +26,6 @@ from repro.bench.figures import (
     fig6_stage_counts,
     fig7_matrices,
     fig9_curves,
-    render_fig1,
-    render_fig2,
-    render_fig5,
-    render_fig7,
-    render_fig9,
 )
 
 
@@ -30,8 +36,7 @@ class TestFig1:
         assert data["hierarchical"]["inter-node"] == 300
 
     def test_render_mentions_both(self):
-        data = fig1_broadcast_volume(2, 3, 300)
-        text = render_fig1(data, 300)
+        text = render_fig1_volume(gen_fig1_volume(2, 3, 300))
         assert "direct" in text and "hierarchical" in text
 
 
@@ -41,7 +46,7 @@ class TestFig2:
         assert [case["panel"] for case in data] == ["a", "b", "c"]
 
     def test_render(self):
-        assert "75%" in render_fig2(fig2_bindings())
+        assert "75%" in render_fig2_bindings(gen_fig2_bindings())
 
 
 class TestFig5:
@@ -50,7 +55,7 @@ class TestFig5:
         assert len(fig5_trees()) == 6
 
     def test_render_contains_vectors(self):
-        text = render_fig5()
+        text = render_fig5_trees(gen_fig5_trees())
         assert "{3, 2, 4}" in text and "{2, 2, 6}" in text
 
 
@@ -70,7 +75,7 @@ class TestFig7:
             assert len(case["library"]) == 12
 
     def test_render(self):
-        text = render_fig7(fig7_matrices(count=240))
+        text = render_fig7_matrices(gen_fig7_matrices())
         assert "tree" in text and "ring" in text
 
 
@@ -82,7 +87,11 @@ class TestFig9Small:
                              depths=(1, 4))
         assert set(curves) == {1, 4}
         assert len(curves[1]) == 2
-        text = render_fig9("broadcast", curves)
+
+    def test_render(self):
+        records = gen_fig9("broadcast", payloads_bytes=[1 << 18, 1 << 22],
+                           depths=(1, 4))
+        text = render_fig9(records)
         assert "m=1" in text and "m=4" in text
 
 

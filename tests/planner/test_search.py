@@ -1,13 +1,11 @@
-"""Planner staged-search tests: equivalence, budget, determinism, shim."""
+"""Planner staged-search tests: equivalence, budget, determinism."""
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
 import repro
 from repro import Library
-from repro.core.autotune import tune
 from repro.core.communicator import Communicator
 from repro.errors import InitializationError
 from repro.machine.machines import by_name, generic
@@ -145,38 +143,3 @@ class TestInitTuned:
         comm.init(hierarchy=[4], library=[Library.MPI])
         with pytest.raises(InitializationError, match="already initialized"):
             comm.init_tuned()
-
-
-class TestAutotuneShim:
-    def _bcast(self, count=1024):
-        def fn(comm):
-            repro.compose(comm, "broadcast", count)
-        return fn
-
-    def test_legacy_signature_unchanged(self):
-        m = generic(2, 2, 1, name="shim")
-        res = tune(self._bcast(), m, pipelines=(1, 4))
-        assert res.best.seconds == min(c.seconds for c in res.candidates)
-        kwargs = res.best.init_kwargs()
-        assert set(kwargs) == {
-            "hierarchy", "library", "stripe", "ring", "pipeline"
-        }
-
-    def test_search_libraries_widens_the_grid(self):
-        m = small_machine()
-        narrow = tune(self._bcast(), m, pipelines=(1,))
-        wide = tune(self._bcast(), m, pipelines=(1,), search_libraries=True)
-        assert len(wide.candidates) > len(narrow.candidates)
-        assert wide.best.seconds <= narrow.best.seconds * (1 + 1e-12)
-
-    def test_staged_strategy_through_shim(self):
-        m = small_machine()
-        grid = tune(self._bcast(1 << 14), m, pipelines=(1, 8))
-        staged = tune(self._bcast(1 << 14), m, pipelines=(1, 8),
-                      strategy="staged", search_libraries=True)
-        assert staged.best.seconds <= grid.best.seconds * (1 + 1e-12)
-
-    def test_dtype_respected(self):
-        m = generic(2, 2, 1, name="dt")
-        res = tune(self._bcast(512), m, pipelines=(1,), dtype=np.float64)
-        assert res.candidates

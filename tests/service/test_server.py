@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import socket
 import threading
 
 import pytest
@@ -10,8 +11,13 @@ from repro.errors import FaultError, HicclError
 from repro.machine.faults import FaultSet
 from repro.machine.machines import by_name
 from repro.service.client import PlanClient
-from repro.service.protocol import PROTOCOL_VERSION
-from repro.service.server import PlanServer, PlanService, socket_alive
+from repro.service.protocol import PROTOCOL_VERSION, decode_frame
+from repro.service.server import (
+    MAX_FRAME_BYTES,
+    PlanServer,
+    PlanService,
+    socket_alive,
+)
 from repro.service.traffic import synthetic_traffic, traffic_universe
 
 PAYLOAD = 1 << 22
@@ -174,6 +180,33 @@ def test_malformed_plan_request_is_error_frame(server):
     with PlanClient(socket_path) as client:
         with pytest.raises(HicclError, match="malformed"):
             client.call({"type": "plan", "collective": "all_reduce"})
+
+
+def test_oversized_frame_is_rejected_and_connection_closed(server):
+    """A line past MAX_FRAME_BYTES gets a ProtocolError frame, then EOF."""
+    socket_path, svc = server
+    pad = b"x" * MAX_FRAME_BYTES
+    with socket.socket(socket.AF_UNIX, socket.SOCK_STREAM) as raw:
+        raw.settimeout(30)
+        raw.connect(str(socket_path))
+        try:
+            raw.sendall(b'{"type": "plan", "pad": "' + pad + b'"}\n')
+        except (BrokenPipeError, ConnectionResetError):
+            pass  # the daemon may close before the tail is written
+        with raw.makefile("rb") as reader:
+            response = decode_frame(reader.readline())
+            try:
+                rest = reader.read()
+            except ConnectionResetError:
+                rest = b""  # closed with the frame's tail still unread
+    assert response["status"] == "error"
+    assert response["error"] == "ProtocolError"
+    assert str(MAX_FRAME_BYTES) in response["message"]
+    assert rest == b""  # no further frames: the connection was closed
+    # The frame never reached the engine (a plan frame would count).
+    assert svc.stats.requests == svc.stats.errors == 0
+    with PlanClient(socket_path) as client:
+        assert client.ping()["protocol"] == PROTOCOL_VERSION
 
 
 def test_concurrent_clients_share_one_planning_pass(server):

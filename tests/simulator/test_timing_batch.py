@@ -1,11 +1,11 @@
 """Batch pricing must be bit-identical to the scalar reference.
 
-DESIGN.md promises that :func:`repro.simulator.timing.price_ops` equals
-mapping :func:`price_op` elementwise — same float64 operations in the same
-order — so the vectorized cost model can never silently drift from the
-documented scalar one.  These tests pin that contract on real lowered
-schedules across machine models, NIC bindings, reductions, and both the
-above- and below-threshold paths.
+DESIGN.md promises that :func:`repro.simulator.timing.price_schedule`
+equals mapping :func:`price_op` over the schedule's ops elementwise — same
+float64 operations in the same order — so the vectorized cost model can
+never silently drift from the documented scalar one.  These tests pin that
+contract on real lowered schedules across machine models, NIC bindings,
+reductions, and both the above- and below-threshold paths.
 """
 
 from __future__ import annotations
@@ -14,8 +14,9 @@ import pytest
 
 from repro.core.communicator import Communicator
 from repro.core.composition import compose
+from repro.machine.faults import FaultSet
 from repro.machine.machines import aurora, delta, frontier, generic, perlmutter
-from repro.simulator.timing import BATCH_MIN_OPS, price_op, price_ops
+from repro.simulator.timing import BATCH_MIN_OPS, price_op, price_schedule
 from repro.transport.library import Library
 
 
@@ -29,7 +30,8 @@ def _schedule(machine, collective, count, **init_kwargs):
 CASES = [
     # (machine, collective, init kwargs) — spans all four paper systems,
     # packed/bijective/round-robin bindings, dual-die intra levels,
-    # reductions, striping, rings, and pipelining.
+    # reductions, striping, rings, pipelining, and a degraded machine whose
+    # down NIC, link derates and stragglers price tx and rx asymmetrically.
     (perlmutter(nodes=4), "all_reduce",
      dict(hierarchy=[4, 4], library=[Library.NCCL, Library.IPC],
           stripe=4, ring=1, pipeline=4)),
@@ -48,16 +50,21 @@ CASES = [
     (generic(2, 3, 2, name="oddshape"), "all_to_all",
      dict(hierarchy=[2, 3], library=[Library.MPI, Library.IPC],
           stripe=1, ring=1, pipeline=4)),
+    (FaultSet.random(frontier(nodes=2), 1).apply(frontier(nodes=2)),
+     "reduce_scatter",
+     dict(hierarchy=[2, 4, 2], library=[Library.MPI, Library.IPC, Library.IPC],
+          stripe=4, ring=1, pipeline=2)),
 ]
 
 
 @pytest.mark.parametrize("machine,collective,kwargs",
                          CASES, ids=[f"{m.name}-{c}" for m, c, _ in CASES])
 @pytest.mark.parametrize("elem_bytes", [4, 8])
-def test_price_ops_elementwise_equal(machine, collective, kwargs, elem_bytes):
+def test_price_schedule_elementwise_equal(machine, collective, kwargs,
+                                          elem_bytes):
     schedule, libraries = _schedule(machine, collective, 1 << 12, **kwargs)
     assert len(schedule) >= BATCH_MIN_OPS  # the numpy path, not the fallback
-    batch = price_ops(schedule.ops, machine, libraries, elem_bytes)
+    batch = price_schedule(schedule, machine, libraries, elem_bytes)
     scalar = [price_op(op, machine, libraries, elem_bytes)
               for op in schedule.ops]
     assert batch == scalar  # PricedOp is frozen: exact float + resource keys
@@ -69,7 +76,7 @@ def test_small_schedules_take_the_scalar_path():
         machine, "broadcast", 8,
         hierarchy=[2, 2], library=[Library.MPI, Library.IPC])
     assert len(schedule) < BATCH_MIN_OPS
-    assert price_ops(schedule.ops, machine, libraries, 4) == [
+    assert price_schedule(schedule, machine, libraries, 4) == [
         price_op(op, machine, libraries, 4) for op in schedule.ops]
 
 
@@ -79,4 +86,4 @@ def test_invalid_level_raises_same_error():
         machine, "broadcast", 1 << 12,
         hierarchy=[2, 4], library=[Library.NCCL, Library.IPC], pipeline=4)
     with pytest.raises(ValueError, match="no valid library level"):
-        price_ops(schedule.ops, machine, (), 4)
+        price_schedule(schedule, machine, (), 4)

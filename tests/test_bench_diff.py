@@ -3,7 +3,9 @@
 Synthetic reference/run payloads exercise every rule the CI ``bench-diff``
 matrix job relies on: exact-match keys fail on any change, wall-clock keys
 fail only past the 20% one-sided threshold, and the warm-cache factor rule
-fails only on order-of-magnitude regressions.
+fails only on order-of-magnitude regressions.  The rule table, the CI
+matrix, and the committed ``BENCH_<name>.json`` references must name the
+same benchmarks, so no leg can run without a reference to diff against.
 """
 
 from __future__ import annotations
@@ -11,12 +13,15 @@ from __future__ import annotations
 import copy
 import importlib.util
 import json
+import re
 import sys
+from fnmatch import fnmatch
 from pathlib import Path
 
 import pytest
 
-_PATH = Path(__file__).resolve().parent.parent / "tools" / "bench_diff.py"
+ROOT = Path(__file__).resolve().parent.parent
+_PATH = ROOT / "tools" / "bench_diff.py"
 _spec = importlib.util.spec_from_file_location("bench_diff", _PATH)
 bench_diff = importlib.util.module_from_spec(_spec)
 sys.modules[_spec.name] = bench_diff
@@ -277,6 +282,29 @@ def test_serving_leg_set_must_match():
     assert any("scenario legs changed" in f for f in failures)
 
 
-def test_every_ci_matrix_bench_has_a_rule():
-    assert sorted(bench_diff.DIFFS) == ["faults", "lowering", "planservice",
-                                        "serving", "simulator"]
+def _ci_matrix_benches() -> list:
+    text = (ROOT / ".github" / "workflows" / "ci.yml").read_text()
+    match = re.search(r"^\s*bench:\s*\[([^\]]*)\]", text, re.M)
+    assert match, "ci.yml has no bench-diff matrix"
+    return sorted(name.strip() for name in match.group(1).split(","))
+
+
+def _committed_references() -> list:
+    return sorted(p.name[len("BENCH_"):-len(".json")]
+                  for p in ROOT.glob("BENCH_*.json")
+                  if not p.name.endswith(".ci.json"))
+
+
+def test_rules_ci_matrix_and_references_name_the_same_benches():
+    assert sorted(bench_diff.DIFFS) == _ci_matrix_benches()
+    assert sorted(bench_diff.DIFFS) == _committed_references()
+
+
+def test_gitignore_lists_no_committed_reference():
+    patterns = [line.strip().lstrip("/")
+                for line in (ROOT / ".gitignore").read_text().splitlines()
+                if line.strip() and not line.lstrip().startswith("#")]
+    ignored = [(f"BENCH_{name}.json", pattern)
+               for name in bench_diff.DIFFS for pattern in patterns
+               if fnmatch(f"BENCH_{name}.json", pattern)]
+    assert not ignored

@@ -229,20 +229,3 @@ class TestCommands:
         assert rc == 0
         out = capsys.readouterr().out
         assert "aurora" in out and "ran 'level'" in out
-
-    def test_tune_sweep_rungs(self, capsys):
-        rc = main(["tune", "broadcast", "--system", "perlmutter",
-                   "--nodes", "2", "--payload", "8M", "--sweep-rungs",
-                   "--pipelines", "1,8"])
-        assert rc == 0
-        out = capsys.readouterr().out
-        assert "truncated-payload evals" in out and "best:" in out
-
-    def test_tune_workload_rejects_sweep_rungs(self, capsys):
-        rc = main(["tune", "disjoint_halves", "--workload",
-                   "--system", "perlmutter", "--nodes", "2",
-                   "--sweep-rungs"])
-        assert rc == 2
-        out = capsys.readouterr().out
-        assert "--sweep-rungs" in out
-        assert "not applicable with --workload" in out

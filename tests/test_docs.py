@@ -35,6 +35,7 @@ def test_no_broken_cross_references():
     errors: list[str] = []
     checker.check_markdown_links(errors)
     checker.check_source_mentions(errors)
+    checker.check_bench_references(errors)
     assert not errors, "broken documentation references:\n" + "\n".join(errors)
 
 

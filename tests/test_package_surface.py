@@ -15,7 +15,6 @@ MODULES = [
     "repro.collectives",
     "repro.errors",
     "repro.core",
-    "repro.core.autotune",
     "repro.core.buffers",
     "repro.core.communicator",
     "repro.core.composition",

@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Cross-reference checker for the repository's Markdown documentation.
 
-Two classes of reference are validated so broken pointers fail the build
+Three classes of reference are validated so broken pointers fail the build
 (via ``tests/test_docs.py`` and ``tools/smoke.sh``):
 
 1. **Markdown links** — every relative ``[text](path#anchor)`` in a ``*.md``
@@ -14,6 +14,10 @@ Two classes of reference are validated so broken pointers fail the build
    ``tools/`` must resolve against the repository root: the file must exist,
    a ``#anchor`` must resolve, and ``Section N`` must match a numbered
    heading (``## N. ...``).
+3. **Benchmark references** — every ``BENCH_<name>.json`` named in
+   ``BENCH_DOCS`` must exist at the repository root, so a claim never cites
+   a reference file that is not there.  ROADMAP.md is exempt: it names
+   planned benchmarks that do not exist yet.
 
 Run directly (``python tools/check_doc_links.py``); exits nonzero listing
 every broken reference.
@@ -36,6 +40,10 @@ MD_EXPLICIT_ANCHOR = re.compile(r'<a\s+id="([^"]+)"')
 #: UPPERCASE.md[#anchor] mentions in source text (README.md, DESIGN.md, ...).
 SRC_MENTION = re.compile(r"\b([A-Z][A-Z_]*\.md)(#[A-Za-z0-9_-]+)?")
 SRC_SECTION = re.compile(r"\b([A-Z][A-Z_]*\.md)\s+Section\s+(\d+)")
+
+#: Documents whose ``BENCH_<name>.json`` mentions must name committed files.
+BENCH_DOCS = ("README.md", "DESIGN.md", "EXPERIMENTS.md", "CHANGES.md")
+BENCH_MENTION = re.compile(r"\bBENCH_\w+\.json\b")
 
 
 def github_slug(heading: str) -> str:
@@ -121,11 +129,21 @@ def check_source_mentions(errors: list[str]) -> None:
                         f"'Section {number}'")
 
 
+def check_bench_references(errors: list[str]) -> None:
+    for name in BENCH_DOCS:
+        text = (REPO_ROOT / name).read_text(encoding="utf-8")
+        for bench in sorted(set(BENCH_MENTION.findall(text))):
+            if not (REPO_ROOT / bench).exists():
+                errors.append(f"{name}: names {bench}, which is not at the "
+                              "repository root")
+
+
 def main() -> int:
-    """Run both checks; print a report and return the exit code."""
+    """Run all three checks; print a report and return the exit code."""
     errors: list[str] = []
     check_markdown_links(errors)
     check_source_mentions(errors)
+    check_bench_references(errors)
     if errors:
         print(f"{len(errors)} broken documentation reference(s):")
         for err in errors:

@@ -1,9 +1,10 @@
 """Shared benchmark fixtures.
 
-Every benchmark regenerates one table or figure of the paper and writes its
-text rendering to ``benchmarks/output/<name>.txt`` so EXPERIMENTS.md can be
-cross-checked against fresh runs.  ``REPRO_FULL=1`` in the environment
-extends sweeps to their full (slow) ranges.
+Every benchmark regenerates one table or figure of the paper and checks its
+text rendering against the committed ``benchmarks/output/<name>.txt``, so a
+drifted figure fails the run instead of silently replacing its baseline.
+``REPRO_FULL=1`` in the environment extends sweeps to their full (slow)
+ranges.
 """
 
 from __future__ import annotations
@@ -41,12 +42,24 @@ def full_sweeps() -> bool:
 
 
 @pytest.fixture
-def record_output(output_dir):
-    """Write a figure/table rendering to the output directory and echo it."""
+def record_output(full_sweeps):
+    """Echo a figure/table rendering and check it against its baseline.
+
+    The rendering must equal the committed baseline byte for byte; a
+    committed file is never rewritten here.  ``REPRO_FULL=1`` sweeps
+    differ from the committed ones by design, so they are only printed.
+    """
+    from repro.analysis import baseline_path
 
     def _record(name: str, text: str) -> None:
-        path = output_dir / f"{name}.txt"
-        path.write_text(text + "\n")
-        print(f"\n{text}\n[saved to {path}]")
+        print(f"\n{text}\n")
+        if full_sweeps:
+            return
+        path = baseline_path(name)
+        committed = path.read_text() if path.exists() else None
+        assert committed == text + "\n", (
+            f"{name} differs from committed {path}; regenerate with "
+            f"`python -m repro figures {name} --out-dir benchmarks/output` "
+            "and review the diff")
 
     return _record

@@ -77,6 +77,6 @@ def test_committed_baselines_are_current(system, records):
     the records survive a JSON round-trip without changing the render."""
     result = check(f"faults_{system}", records[system])
     assert result.ok, (
-        f"{result.reason}; rerun "
-        "`pytest benchmarks/test_fault_baselines.py -q -s` and commit"
+        f"{result.reason}; regenerate with `python -m repro figures "
+        f"faults_{system} --out-dir benchmarks/output` and commit"
     )

@@ -12,7 +12,7 @@ from __future__ import annotations
 import pytest
 
 from repro.analysis import generate, render
-from repro.bench.figures import FIG9_CASES
+from repro.analysis.throughput import FIG9_CASES
 
 SMALL = 1 << 16  # 64 KB
 LARGE = 1 << 30  # 1 GB

@@ -84,6 +84,6 @@ def test_committed_baselines_are_current(system, records):
     the records survive a JSON round-trip without changing the render."""
     result = check(f"tuned_{system}", records[system])
     assert result.ok, (
-        f"{result.reason}; rerun `pytest benchmarks/test_planner.py -q -s` "
-        "and commit"
+        f"{result.reason}; regenerate with `python -m repro figures "
+        f"tuned_{system} --out-dir benchmarks/output` and commit"
     )

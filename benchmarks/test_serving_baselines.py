@@ -57,6 +57,6 @@ def test_committed_baselines_are_current(system, records):
     the records survive a JSON round-trip without changing the render."""
     result = check(f"serving_{system}", records[system])
     assert result.ok, (
-        f"{result.reason}; rerun "
-        "`pytest benchmarks/test_serving_baselines.py -q -s` and commit"
+        f"{result.reason}; regenerate with `python -m repro figures "
+        f"serving_{system} --out-dir benchmarks/output` and commit"
     )

@@ -50,6 +50,6 @@ def test_committed_baselines_are_current(system, records):
     the records survive a JSON round-trip without changing the render."""
     result = check(f"workloads_{system}", records[system])
     assert result.ok, (
-        f"{result.reason}; rerun `pytest benchmarks/test_workloads.py -q -s` "
-        "and commit"
+        f"{result.reason}; regenerate with `python -m repro figures "
+        f"workloads_{system} --out-dir benchmarks/output` and commit"
     )

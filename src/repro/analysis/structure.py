@@ -13,16 +13,39 @@ from __future__ import annotations
 from .registry import register
 
 
+def _broadcast(machine, count: int, **init_kwargs):
+    """An initialized communicator broadcasting ``count`` elements from
+    rank 0 to every rank (the probe behind Figures 1, 6, 7 and Section 7)."""
+    from ..core.communicator import Communicator
+
+    comm = Communicator(machine, materialize=False)
+    send = comm.alloc(count, "sendbuf")
+    recv = comm.alloc(count, "recvbuf")
+    comm.add_multicast(send, recv, count, 0, list(range(machine.world_size)))
+    comm.init(**init_kwargs)
+    return comm
+
+
 # --------------------------------------------------------------------- Fig 1
 def gen_fig1_volume(nodes: int = 2, gpus_per_node: int = 3,
                     count: int = 1024) -> list:
-    """Records of Figure 1: per-strategy broadcast volume by kind."""
-    from ..bench.figures import fig1_broadcast_volume
+    """Records of Figure 1: per-strategy broadcast volume by kind.
 
-    data = fig1_broadcast_volume(nodes, gpus_per_node, count)
+    The direct strategy redundantly moves ``(p - g)`` copies across nodes
+    while the hierarchical one moves exactly ``nodes - 1``.
+    """
+    from ..machine.machines import generic
+    from ..transport.library import Library
+
+    machine = generic(nodes, gpus_per_node, 1, name="fig1")
     records = [{"row": "meta", "nodes": nodes, "gpus_per_node": gpus_per_node,
                 "count": count}]
-    for strategy, vols in data.items():
+    for strategy, hierarchy, libs in (
+        ("direct", [machine.world_size], [Library.MPI]),
+        ("hierarchical", [nodes, gpus_per_node], [Library.MPI, Library.IPC]),
+    ):
+        comm = _broadcast(machine, count, hierarchy=hierarchy, library=libs)
+        vols = comm.schedule.volume_by_kind(machine)
         records.append({
             "row": "strategy",
             "strategy": strategy,
@@ -52,18 +75,22 @@ def render_fig1_volume(records: list) -> str:
 # --------------------------------------------------------------------- Fig 2
 def gen_fig2_bindings() -> list:
     """Records of Figure 2: the three GPU-to-NIC binding examples."""
-    from ..bench.figures import fig2_bindings
+    from ..machine.nic import Binding, binding_table, nic_loads, utilization
 
     return [{
         "row": "binding",
-        "panel": case["panel"],
-        "policy": case["policy"],
-        "g": case["g"],
-        "k": case["k"],
-        "table": [list(pair) for pair in case["table"]],
-        "loads": list(case["loads"]),
-        "utilization": case["utilization"],
-    } for case in fig2_bindings()]
+        "panel": panel,
+        "policy": policy,
+        "g": g,
+        "k": k,
+        "table": [list(pair) for pair in binding_table(g, k, binding)],
+        "loads": list(nic_loads(g, k, binding)),
+        "utilization": utilization(g, k, binding),
+    } for panel, policy, binding, g, k in (
+        ("a", "packed", Binding.PACKED, 3, 1),
+        ("b", "round-robin", Binding.ROUND_ROBIN, 3, 2),
+        ("c", "bijective", Binding.BIJECTIVE, 3, 3),
+    )]
 
 
 def render_fig2_bindings(records: list) -> str:
@@ -82,18 +109,33 @@ def render_fig2_bindings(records: list) -> str:
 
 
 # --------------------------------------------------------------------- Fig 5
+#: The six 24-GPU factorizations of Figure 5, by panel.
+FIG5_FACTORIZATIONS = [
+    ("a", [3, 8]),
+    ("b", [4, 6]),
+    ("c", [3, 2, 4]),
+    ("d", [2, 2, 6]),
+    ("e", [3, 2, 2, 2]),
+    ("f", [2, 2, 2, 3]),
+]
+
+
 def gen_fig5_trees() -> list:
     """Records of Figure 5: the six 24-GPU tree factorizations."""
-    from ..bench.figures import fig5_trees
+    from ..machine.topology import TreeTopology
 
-    return [{
-        "row": "tree",
-        "panel": panel,
-        "factors": list(topo.factors),
-        "depth": topo.depth,
-        "world_size": topo.world_size,
-        "ascii": topo.ascii_tree(),
-    } for panel, topo in fig5_trees()]
+    records = []
+    for panel, factors in FIG5_FACTORIZATIONS:
+        topo = TreeTopology(factors, 24)
+        records.append({
+            "row": "tree",
+            "panel": panel,
+            "factors": list(topo.factors),
+            "depth": topo.depth,
+            "world_size": topo.world_size,
+            "ascii": topo.ascii_tree(),
+        })
+    return records
 
 
 def render_fig5_trees(records: list) -> str:
@@ -107,11 +149,27 @@ def render_fig5_trees(records: list) -> str:
 
 # --------------------------------------------------------------------- Fig 6
 def gen_fig6_stages() -> list:
-    """Records of Figure 6: stage counts of striped tree vs striped ring."""
-    from ..bench.figures import fig6_stage_counts
+    """Records of Figure 6: stage counts of the striped tree (4) and the
+    striped ring (5).
 
-    return [{"row": "stages", "label": label, "stages": n}
-            for label, n in fig6_stage_counts().items()]
+    12 GPUs as 4 nodes x 3 GPUs; broadcast from GPU 0 with stripe(3).
+    """
+    from ..machine.machines import generic
+    from ..transport.library import Library
+
+    machine = generic(4, 3, 1, name="fig6")
+    records = []
+    for label, hierarchy, ring in (
+        ("tree {2,2,3}", [2, 2, 3], 1),
+        ("ring {4,3}", [4, 3], 4),
+    ):
+        comm = _broadcast(
+            machine, 1 << 12, hierarchy=hierarchy,
+            library=[Library.MPI] * (len(hierarchy) - 1) + [Library.IPC],
+            ring=ring, stripe=3, pipeline=1)
+        records.append({"row": "stages", "label": label,
+                        "stages": comm.schedule.stage_count()})
+    return records
 
 
 def render_fig6_stages(records: list) -> str:
@@ -126,15 +184,34 @@ def render_fig6_stages(records: list) -> str:
 
 # --------------------------------------------------------------------- Fig 7
 def gen_fig7_matrices() -> list:
-    """Records of Figure 7 (bottom): volume + library matrices per case."""
-    from ..bench.figures import fig7_matrices
+    """Records of Figure 7 (bottom): volume + library matrices per case.
 
-    return [{
-        "row": "matrix",
-        "case": case,
-        "library": [list(row) for row in mats["library"]],
-        "volume": [list(row) for row in mats["volume"]],
-    } for case, mats in fig7_matrices().items()]
+    (tree) broadcast on {2,2,3} with {MPI, NCCL, IPC} and stripe(3);
+    (ring) broadcast on {4,3} + ring(4) with {NCCL, IPC} and stripe(3);
+    each a 12x12 sending-GPU x receiving-GPU matrix.
+    """
+    from ..machine.machines import generic
+    from ..transport.library import Library
+
+    machine = generic(4, 3, 1, name="fig7")
+    records = []
+    for case, kwargs in (
+        ("tree", dict(hierarchy=[2, 2, 3],
+                      library=[Library.MPI, Library.NCCL, Library.IPC],
+                      ring=1, stripe=3, pipeline=5)),
+        ("ring", dict(hierarchy=[4, 3],
+                      library=[Library.NCCL, Library.IPC],
+                      ring=4, stripe=3, pipeline=5)),
+    ):
+        comm = _broadcast(machine, 1 << 12, **kwargs)
+        libraries = comm.schedule.library_matrix(comm.plan.libraries)
+        records.append({
+            "row": "matrix",
+            "case": case,
+            "library": [list(row) for row in libraries],
+            "volume": [list(row) for row in comm.schedule.comm_matrix()],
+        })
+    return records
 
 
 def render_fig7_matrices(records: list) -> str:
@@ -207,20 +284,16 @@ def synthesize_1024():
     records — wall-clock is host-dependent and belongs in the uncommitted
     timing sidecar).
     """
-    from .. import Communicator, Library, machines
+    from .. import Library, machines
 
-    machine = machines.frontier(nodes=128)  # 1024 GPUs
-    comm = Communicator(machine, materialize=False)
-    send = comm.alloc(1 << 20, "sendbuf")
-    recv = comm.alloc(1 << 20, "recvbuf")
-    comm.add_multicast(send, recv, 1 << 20, 0, list(range(machine.world_size)))
-    comm.init(
+    return _broadcast(
+        machines.frontier(nodes=128),  # 1024 GPUs
+        1 << 20,
         hierarchy=[2] * 7 + [4, 2],
         library=[Library.MPI] * 7 + [Library.IPC, Library.IPC],
         stripe=8,
         pipeline=4,
     )
-    return comm
 
 
 def synthesis_records(comm) -> list:

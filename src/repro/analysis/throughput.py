@@ -15,6 +15,14 @@ from .registry import register
 #: Figure 8 / ablation payload (256 MiB) and Figure 9/planner payloads.
 FIG8_PAYLOAD = 1 << 28
 
+#: Figure 9's four panels on Perlmutter: collective -> topology.
+FIG9_CASES = {
+    "gather": "tree",
+    "scatter": "tree",
+    "broadcast": "ring",
+    "reduce": "ring",
+}
+
 #: Committed Figure 9 sweep (REPRO_FULL extends it in the benchmarks).
 FIG9_PAYLOADS = tuple(1 << s for s in (16, 20, 24, 27, 30))
 FIG9_DEPTHS = (1, 4, 16, 64)
@@ -23,6 +31,10 @@ FIG9_DEPTHS = (1, 4, 16, 64)
 FIG10_PAYLOAD = 8 << 30
 FIG10_GPU_BUDGET = 64
 FIG10_DEPTHS = (1, 4, 16)
+
+#: Figure 10's MPI baseline payload cap, matching the paper's note about
+#: MPI's large-count limitations [17].
+FIG10_MPI_CAP = 1 << 30
 
 #: Committed saturation sweep (Section 6.2): 1 MB .. 1 GB.
 SATURATION_PAYLOADS = tuple(1 << s for s in range(20, 31, 2))
@@ -221,18 +233,20 @@ def render_fig8(records: list) -> str:
 def gen_fig9(collective: str, payloads_bytes=FIG9_PAYLOADS,
              depths=FIG9_DEPTHS) -> list:
     """Records of one Figure 9 panel: throughput per (depth, payload)."""
-    from ..bench.figures import FIG9_CASES, fig9_curves
+    from ..bench.configs import ring_config, tree_config
+    from ..bench.runner import run_hiccl
     from ..machine import machines
 
     machine = machines.perlmutter(nodes=4)
-    curves = fig9_curves(machine, collective,
-                         payloads_bytes=list(payloads_bytes),
-                         depths=tuple(depths))
+    topology = FIG9_CASES[collective]
+    config = ring_config if topology == "ring" else tree_config
     records = [{"row": "meta", "collective": collective,
-                "topology": FIG9_CASES[collective],
-                "system": machine.name, "nodes": 4}]
-    for depth in sorted(curves):
-        for m in curves[depth]:
+                "topology": topology, "system": machine.name, "nodes": 4}]
+    for depth in sorted(depths):
+        cfg = config(machine, pipeline=depth)
+        for pb in payloads_bytes:
+            m = run_hiccl(machine, collective, cfg, payload_bytes=pb,
+                          warmup=0, rounds=1)
             records.append({
                 "row": "point",
                 "depth": depth,
@@ -266,17 +280,39 @@ def render_fig9(records: list) -> str:
 # -------------------------------------------------------------------- Fig 10
 def gen_fig10(system: str, node_counts=None, depths=FIG10_DEPTHS,
               payload_bytes: int = FIG10_PAYLOAD) -> list:
-    """Records of one Figure 10 panel: All-reduce GB/s per node count."""
-    from ..bench.figures import fig10_scaling
+    """Records of one Figure 10 panel: All-reduce GB/s per node count.
+
+    Series: ``hiccl-m{depth}`` (ring configuration) for each pipeline
+    depth, plus the vendor ring and MPI baselines; MPI runs at a payload
+    capped at ``FIG10_MPI_CAP``.
+    """
+    from ..bench.configs import ring_config
+    from ..bench.runner import run_baseline, run_hiccl
     from ..machine import machines
 
     factory = machines.PAPER_SYSTEMS[system]
     if node_counts is None:
         node_counts = tuple(n for n in (2, 4, 8, 16, 32, 64)
                             if factory(n).world_size <= FIG10_GPU_BUDGET)
-    series = fig10_scaling(factory, node_counts=tuple(node_counts),
-                           payload_bytes=payload_bytes,
-                           depths=tuple(depths))
+    series: dict[str, dict[int, float]] = {f"hiccl-m{d}": {} for d in depths}
+    series["vendor"] = {}
+    series["mpi"] = {}
+    for nodes in node_counts:
+        machine = factory(nodes)
+        for d in depths:
+            meas = run_hiccl(machine, "all_reduce",
+                             ring_config(machine, pipeline=d),
+                             payload_bytes=payload_bytes, warmup=0, rounds=1)
+            series[f"hiccl-m{d}"][nodes] = meas.throughput
+        vendor = run_baseline(machine, "all_reduce", "vendor",
+                              payload_bytes=payload_bytes, warmup=0, rounds=1)
+        if vendor:
+            series["vendor"][nodes] = vendor.throughput
+        mpi = run_baseline(machine, "all_reduce", "mpi",
+                           payload_bytes=min(payload_bytes, FIG10_MPI_CAP),
+                           warmup=0, rounds=1)
+        if mpi:
+            series["mpi"][nodes] = mpi.throughput
     records = [{"row": "meta", "system": system,
                 "payload_bytes": payload_bytes}]
     for name, points in series.items():

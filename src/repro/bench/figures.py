@@ -1,22 +1,20 @@
-"""Data generators for every figure and table of the paper's evaluation.
+"""Figure 8 grid, workload table, and simulation-engine comparisons.
 
-Each ``figN_*`` function returns plain data (dicts / lists of
-:class:`~repro.bench.runner.Measurement`).  The :mod:`repro.analysis`
-registry flattens that data into records and owns the one renderer per
-figure, so the committed ``benchmarks/output`` baselines, ``repro figures``,
-``repro bench`` and ``repro workloads`` all print through the same code.
-Also home to the engine-comparison helpers behind ``repro sim``.
+:func:`fig8_points` / :func:`fig8_system` / :func:`fig8_bounds` produce the
+Figure 8 measurements behind ``repro bench`` and the ``fig8_*`` baselines,
+and :func:`workload_scenarios_table` runs the scenario suite behind
+``repro workloads``; the :mod:`repro.analysis` registry turns their data
+into records and owns the one generator and renderer per figure.  Also
+home to the engine-comparison helpers behind ``repro sim`` and
+``tools/bench_simulator.py``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..core.communicator import Communicator
 from ..core.composition import FIGURE8_ORDER
-from ..machine.nic import binding_table, nic_loads, utilization
 from ..machine.spec import MachineSpec
-from ..machine.topology import TreeTopology
 from ..model.bounds import (
     BOUND_KIND,
     achievable_bound,
@@ -29,144 +27,11 @@ from .configs import (
     direct_config,
     hierarchical_config,
     pipelined_config,
-    ring_config,
     striped_config,
-    tree_config,
 )
-from .runner import Measurement, run_baseline, run_hiccl
-
-# --------------------------------------------------------------------- Fig 1
-def fig1_broadcast_volume(nodes: int = 2, gpus_per_node: int = 3,
-                          count: int = 1024) -> dict[str, dict[str, int]]:
-    """Direct vs hierarchical broadcast volume (Figure 1).
-
-    Returns inter/intra-node element volumes for both strategies; the direct
-    strategy redundantly moves ``(p - g)`` copies across nodes while the
-    hierarchical one moves exactly ``nodes - 1``.
-    """
-    from ..machine.machines import generic
-
-    machine = generic(nodes, gpus_per_node, 1, name="fig1")
-    out = {}
-    for label, hierarchy, libs in (
-        ("direct", [machine.world_size], [Library.MPI]),
-        ("hierarchical", [nodes, gpus_per_node], [Library.MPI, Library.IPC]),
-    ):
-        comm = Communicator(machine, materialize=False)
-        send = comm.alloc(count, "sendbuf")
-        recv = comm.alloc(count, "recvbuf")
-        comm.add_multicast(send, recv, count, 0, list(range(machine.world_size)))
-        comm.init(hierarchy=hierarchy, library=libs)
-        out[label] = comm.schedule.volume_by_kind(machine)
-    return out
-
-
-# --------------------------------------------------------------------- Fig 2
-def fig2_bindings() -> list[dict]:
-    """The three binding examples of Figure 2 with their utilizations."""
-    cases = [
-        ("packed", 3, 1, "a"),
-        ("round-robin", 3, 2, "b"),
-        ("bijective", 3, 3, "c"),
-    ]
-    out = []
-    from ..machine.nic import Binding
-
-    policy_of = {"packed": Binding.PACKED, "round-robin": Binding.ROUND_ROBIN,
-                 "bijective": Binding.BIJECTIVE}
-    for policy, g, k, panel in cases:
-        pol = policy_of[policy]
-        out.append({
-            "panel": panel,
-            "policy": policy,
-            "g": g,
-            "k": k,
-            "table": binding_table(g, k, pol),
-            "loads": nic_loads(g, k, pol),
-            "utilization": utilization(g, k, pol),
-        })
-    return out
-
-
-# --------------------------------------------------------------------- Fig 5
-FIG5_FACTORIZATIONS = [
-    ("a", [3, 8]),
-    ("b", [4, 6]),
-    ("c", [3, 2, 4]),
-    ("d", [2, 2, 6]),
-    ("e", [3, 2, 2, 2]),
-    ("f", [2, 2, 2, 3]),
-]
-
-
-def fig5_trees() -> list[tuple[str, TreeTopology]]:
-    """The six 24-GPU factorizations of Figure 5."""
-    return [(panel, TreeTopology(factors, 24)) for panel, factors in FIG5_FACTORIZATIONS]
-
-
-# --------------------------------------------------------------------- Fig 6
-def fig6_stage_counts(count: int = 1 << 12) -> dict[str, int]:
-    """Stage counts of the striped tree (4) and striped ring (5) of Figure 6.
-
-    12 GPUs as 4 nodes x 3 GPUs; broadcast from GPU 0 with stripe(3).
-    """
-    from ..machine.machines import generic
-
-    machine = generic(4, 3, 1, name="fig6")
-    out = {}
-    for label, hierarchy, ring in (
-        ("tree {2,2,3}", [2, 2, 3], 1),
-        ("ring {4,3}", [4, 3], 4),
-    ):
-        comm = Communicator(machine, materialize=False)
-        send = comm.alloc(count, "sendbuf")
-        recv = comm.alloc(count, "recvbuf")
-        comm.add_multicast(send, recv, count, 0, list(range(12)))
-        comm.init(hierarchy=hierarchy,
-                  library=[Library.MPI] * (len(hierarchy) - 1) + [Library.IPC],
-                  ring=ring, stripe=3, pipeline=1)
-        out[label] = comm.schedule.stage_count()
-    return out
-
-
-# --------------------------------------------------------------------- Fig 7
-def fig7_matrices(count: int = 1 << 12) -> dict[str, dict]:
-    """Hierarchical communication matrices of Figure 7 (bottom).
-
-    (a) broadcast on {2,2,3} with {MPI, NCCL, IPC} and stripe(3);
-    (b) broadcast on {4,3} + ring(4) with {NCCL, IPC} and stripe(3).
-    Returns per-case the 12x12 volume matrix and the library label matrix.
-    """
-    from ..machine.machines import generic
-
-    machine = generic(4, 3, 1, name="fig7")
-    cases = {
-        "tree": dict(hierarchy=[2, 2, 3],
-                     library=[Library.MPI, Library.NCCL, Library.IPC],
-                     ring=1, stripe=3, pipeline=5),
-        "ring": dict(hierarchy=[4, 3],
-                     library=[Library.NCCL, Library.IPC],
-                     ring=4, stripe=3, pipeline=5),
-    }
-    out = {}
-    for label, kwargs in cases.items():
-        comm = Communicator(machine, materialize=False)
-        send = comm.alloc(count, "sendbuf")
-        recv = comm.alloc(count, "recvbuf")
-        comm.add_multicast(send, recv, count, 0, list(range(12)))
-        comm.init(**kwargs)
-        out[label] = {
-            "volume": comm.schedule.comm_matrix(),
-            "library": comm.schedule.library_matrix(comm.plan.libraries),
-        }
-    return out
-
+from .runner import Measurement
 
 # --------------------------------------------------------------------- Fig 8
-#: Implementations shown per collective in Figure 8, in bar order.
-FIG8_VARIANTS = ("mpi", "vendor", "direct", "hierarchical", "striped", "pipelined")
-
-
 def fig8_points(machine: MachineSpec, payload_bytes: int = 1 << 29,
                 collectives=FIGURE8_ORDER) -> list:
     """The Figure 8 measurement grid as sweep points, in bar order."""
@@ -222,39 +87,6 @@ def fig8_bounds(machine: MachineSpec) -> dict[str, dict[str, float]]:
             "empirical_kind": kind,
             "intra_node": emp.intra_node,
         }
-    return out
-
-
-# --------------------------------------------------------------------- Fig 9
-FIG9_CASES = {
-    # (collective, topology): Figure 9's four panels on Perlmutter.
-    "gather": "tree",
-    "scatter": "tree",
-    "broadcast": "ring",
-    "reduce": "ring",
-}
-
-FIG9_DEPTHS = (1, 2, 4, 8, 16, 32, 64, 128)
-
-
-def fig9_curves(machine: MachineSpec, collective: str,
-                payloads_bytes=None,
-                depths=FIG9_DEPTHS) -> dict[int, list[Measurement]]:
-    """Throughput vs buffer size for each pipeline depth (one Fig 9 panel)."""
-    if payloads_bytes is None:
-        payloads_bytes = [1 << s for s in range(14, 31, 2)]  # 16 KB .. 1 GB
-    topology = FIG9_CASES[collective]
-    out: dict[int, list[Measurement]] = {}
-    for m_depth in depths:
-        if topology == "ring":
-            cfg = ring_config(machine, pipeline=m_depth)
-        else:
-            cfg = tree_config(machine, pipeline=m_depth)
-        out[m_depth] = [
-            run_hiccl(machine, collective, cfg, payload_bytes=pb,
-                      warmup=0, rounds=1)
-            for pb in payloads_bytes
-        ]
     return out
 
 
@@ -392,39 +224,3 @@ def sim_engine_table(rows: list[EngineComparison]) -> str:
             f"{str(r.identical):>9s}"
         )
     return "\n".join(lines)
-
-
-# -------------------------------------------------------------------- Fig 10
-FIG10_DEPTHS = (1, 2, 4, 8, 16, 32)
-
-
-def fig10_scaling(machine_factory, node_counts=(2, 4, 8, 16, 32, 64),
-                  payload_bytes: int = 1 << 30,
-                  depths=FIG10_DEPTHS,
-                  mpi_cap_bytes: int = 1 << 30) -> dict[str, dict[int, float]]:
-    """All-reduce scaling (Figure 10): GB/s per node count per series.
-
-    Series: ``hiccl-m{depth}`` for each pipeline depth, plus the vendor ring
-    and MPI baselines.  MPI is measured at a capped 1 GB payload, matching
-    the paper's note about MPI's large-count limitations [17].
-    """
-    series: dict[str, dict[int, float]] = {f"hiccl-m{d}": {} for d in depths}
-    series["vendor"] = {}
-    series["mpi"] = {}
-    for nodes in node_counts:
-        machine = machine_factory(nodes)
-        for d in depths:
-            cfg = ring_config(machine, pipeline=d)
-            meas = run_hiccl(machine, "all_reduce", cfg,
-                             payload_bytes=payload_bytes, warmup=0, rounds=1)
-            series[f"hiccl-m{d}"][nodes] = meas.throughput
-        vendor = run_baseline(machine, "all_reduce", "vendor",
-                              payload_bytes=payload_bytes, warmup=0, rounds=1)
-        if vendor:
-            series["vendor"][nodes] = vendor.throughput
-        mpi = run_baseline(machine, "all_reduce", "mpi",
-                           payload_bytes=min(payload_bytes, mpi_cap_bytes),
-                           warmup=0, rounds=1)
-        if mpi:
-            series["mpi"][nodes] = mpi.throughput
-    return series

@@ -3,8 +3,8 @@
 from .buffers import BufferHandle, BufferView
 from .communicator import Communicator
 from .composition import COLLECTIVES, FIGURE8_ORDER, compose
-from .factorize import Lowering, lower_program, split_even
 from .ops import ReduceOp, accumulate, reference_reduce
+from .passes import lower_program, split_even
 from .plan import OptimizationPlan
 from .plancache import CachedPlan, CacheStats, PlanCache, PlanKey, plan_key
 from .primitives import Fence, Multicast, Program, Reduction
@@ -34,7 +34,6 @@ __all__ = [
     "Communicator",
     "FIGURE8_ORDER",
     "Fence",
-    "Lowering",
     "Multicast",
     "OptimizationPlan",
     "P2POp",

@@ -34,7 +34,7 @@ from ..simulator.executor import execute
 from ..simulator.process import MemoryPool
 from . import plancache
 from .buffers import BufferHandle
-from .factorize import lower_program
+from .passes import lower_program
 from .ops import ReduceOp
 from .plan import OptimizationPlan
 from .primitives import Program

@@ -11,7 +11,7 @@ The optimization space has five parameters (Listing 2, lines 13-17):
 HiCCL "does not automatically select these parameters, which are part of the
 input" — :class:`OptimizationPlan` validates them against the machine and the
 virtual topology and is then consumed by the lowering in
-:mod:`repro.core.factorize`.
+:mod:`repro.core.passes`.
 """
 
 from __future__ import annotations

@@ -116,10 +116,8 @@ class Schedule:
     """An immutable lowered program in structure-of-arrays form.
 
     Construct with :meth:`from_arrays` (the pass pipeline's path) or
-    :meth:`from_ops` (object-list compatibility, also the round-trip
-    inverse of :attr:`ops`).  The legacy positional constructor
-    ``Schedule(world_size, ops, scratch, num_channels)`` still works and
-    converts through :meth:`from_ops`.
+    :meth:`from_ops` (object-list form, also the round-trip inverse of
+    :attr:`ops`).
     """
 
     __slots__ = (
@@ -128,19 +126,6 @@ class Schedule:
         "reduce", "level", "channel", "stage", "tag",
         "dep_indptr", "dep_indices", "_ops_cache", "_defects",
     )
-
-    def __init__(self, world_size, ops=None, scratch=None, num_channels=1):
-        """Build from a list of :class:`P2POp` (compatibility constructor).
-
-        Does not validate eagerly — call :meth:`validate` explicitly, as the
-        historical object-list schedule did.
-        """
-        converted = Schedule.from_ops(
-            world_size, list(ops or ()), scratch or {}, num_channels,
-            validate=False,
-        )
-        for name in Schedule.__slots__:
-            setattr(self, name, getattr(converted, name))
 
     # ------------------------------------------------------------ construction
     @classmethod

@@ -5,7 +5,7 @@ The staged search discards a candidate without simulating it only when its
 bound must be *sound*: never larger than the time the event engine would
 report for that candidate's lowered schedule.  :func:`lower_bound_seconds`
 builds such a bound from four ingredients, each provable against the
-lowering (:mod:`repro.core.factorize`) and the cost model
+lowering (:mod:`repro.core.passes`) and the cost model
 (:mod:`repro.simulator.timing`):
 
 1. **Chain traffic.**  The tree lowering sends one stream of the full

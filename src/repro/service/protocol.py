@@ -169,10 +169,12 @@ def machine_from_dict(doc: dict) -> MachineSpec:
                 else float(doc["gpu_injection_bandwidth"])
             ),
         )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ProtocolError(f"malformed machine description: {exc}") from exc
-    faults = doc.get("faults")
-    if faults:
+        faults = doc.get("faults")
+        if not faults:
+            return spec
+        if not isinstance(faults, dict):
+            raise TypeError(
+                f"faults must be an object, got {type(faults).__name__}")
         fault_set = FaultSet(
             down_nics=tuple(tuple(e) for e in faults.get("down_nics", ())),
             down_links=tuple(tuple(e) for e in faults.get("down_links", ())),
@@ -181,8 +183,9 @@ def machine_from_dict(doc: dict) -> MachineSpec:
             link_derate=tuple(tuple(e) for e in faults.get("link_derate", ())),
             stragglers=tuple(tuple(e) for e in faults.get("stragglers", ())),
         )
-        spec = fault_set.apply(spec)
-    return spec
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ProtocolError(f"malformed machine description: {exc}") from exc
+    return fault_set.apply(spec)
 
 
 # ------------------------------------------------------------------- keying

@@ -29,7 +29,7 @@ import socket
 import socketserver
 import threading
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 from ..bench.parallel import TaskPool
@@ -100,6 +100,64 @@ class ServiceStats:
             "warm_started": self.warm_started,
             "errors": self.errors,
         }
+
+
+def _parse_plan_request(frame: dict) -> tuple[PlanTask | PlanTableTask, str]:
+    """Validate a ``plan``/``plan_table`` frame into its task and request key.
+
+    Any malformed field raises :class:`ProtocolError`; a machine with
+    drained nodes raises :class:`~repro.errors.FaultError`, mirroring
+    :func:`repro.planner.replan.replan`: a drained node carries no traffic,
+    so there is no plan to serve — shrink the job onto the survivors
+    (:mod:`repro.workloads.elastic`) and ask again.
+    """
+    kind = frame["type"]
+    try:
+        machine = machine_from_dict(frame["machine"])
+        collective = str(frame["collective"])
+        dtype = str(frame.get("dtype", "float32"))
+        options = frame.get("options") or {}
+        if not isinstance(options, dict):
+            raise TypeError(
+                f"options must be an object, got {type(options).__name__}")
+        max_full = options.get("max_full")
+        search = dict(
+            machine=machine,
+            collective=collective,
+            dtype_name=dtype,
+            pipelines=tuple(
+                int(m) for m in options.get("pipelines", SERVICE_PIPELINES)),
+            search_libraries=bool(options.get("search_libraries", False)),
+            max_full=None if max_full is None else int(max_full),
+        )
+        if kind == "plan":
+            task = PlanTask(payload_bytes=int(frame["payload_bytes"]),
+                            **search)
+        else:
+            task = PlanTableTask(size_classes=tuple(
+                (str(name), int(payload))
+                for name, payload in frame["size_classes"]
+            ), **search)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ProtocolError(f"malformed {kind} request: {exc}") from exc
+    if kind == "plan":
+        payload_bytes = task.payload_bytes
+    else:
+        if not task.size_classes:
+            raise ProtocolError("plan_table needs at least one size class")
+        # The size classes fold into the key through the options channel,
+        # so a table request never collides with a single-plan request.
+        payload_bytes = max(payload for _, payload in task.size_classes)
+        options = {**options, "kind": "plan_table",
+                   "size_classes": [list(sc) for sc in task.size_classes]}
+    if machine.faults is not None and machine.faults.drained_nodes:
+        raise FaultError(
+            f"machine {machine.name!r} has drained node(s) "
+            f"{list(machine.faults.drained_nodes)}; plan for the "
+            "shrunk survivor machine instead"
+        )
+    return task, request_key(machine, collective, payload_bytes, dtype,
+                             options)
 
 
 class PlanService:
@@ -174,10 +232,8 @@ class PlanService:
                     "batcher": self.batcher.snapshot(),
                     "cache": self.cache.stats(),
                 }
-            if kind == "plan":
+            if kind in ("plan", "plan_table"):
                 return self._handle_plan(frame)
-            if kind == "plan_table":
-                return self._handle_plan_table(frame)
             raise ProtocolError(f"unknown request type {kind!r}")
         except HicclError as exc:
             with self._lock:
@@ -185,110 +241,19 @@ class PlanService:
             return error_frame(request_id, exc)
 
     def _handle_plan(self, frame: dict) -> dict:
-        with self._lock:
-            self.stats.requests += 1
-        request_id = frame.get("id")
-        try:
-            machine = machine_from_dict(frame["machine"])
-            collective = str(frame["collective"])
-            payload_bytes = int(frame["payload_bytes"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ProtocolError(f"malformed plan request: {exc}") from exc
-        if machine.faults is not None and machine.faults.drained_nodes:
-            # Same contract as planner.replan: a drained node carries no
-            # traffic, so there is no plan to serve — shrink the job onto
-            # the survivors (workloads.elastic) and ask again.
-            raise FaultError(
-                f"machine {machine.name!r} has drained node(s) "
-                f"{list(machine.faults.drained_nodes)}; plan for the "
-                "shrunk survivor machine instead"
-            )
-        dtype = str(frame.get("dtype", "float32"))
-        options = frame.get("options") or {}
-        key = request_key(machine, collective, payload_bytes, dtype, options)
-        digest = machine_digest(machine)
+        """Serve one ``plan`` or ``plan_table`` frame (cached + coalesced).
 
-        began = time.perf_counter()
-        cached = self.cache.get(digest, key)
-        if cached is not None:
-            with self._lock:
-                self.stats.hits += 1
-            return self._respond(request_id, cached, "hit", began)
-
-        donors = self._warm_donors(digest, machine, collective)
-
-        def make_task() -> PlanTask:
-            return PlanTask(
-                machine=machine,
-                collective=collective,
-                payload_bytes=payload_bytes,
-                dtype_name=dtype,
-                pipelines=tuple(options.get("pipelines", SERVICE_PIPELINES)),
-                search_libraries=bool(options.get("search_libraries", False)),
-                max_full=options.get("max_full"),
-                warm_donors=donors,
-            )
-
-        future, mine = self.batcher.submit(key, make_task)
-        try:
-            outcome = future.result()
-        except HicclError:
-            raise
-        except Exception as exc:  # pool failures surface as error frames
-            raise ProtocolError(f"planning failed: {exc}") from exc
-
-        if mine:
-            with self._lock:
-                self.stats.planned += 1
-                if outcome.get("warm_seeds"):
-                    self.stats.warm_started += 1
-            self.cache.put(digest, key, outcome)
-            self._record(digest, machine, collective, outcome)
-            source = "warm" if outcome.get("warm_seeds") else "cold"
-        else:
-            with self._lock:
-                self.stats.coalesced += 1
-            source = "coalesced"
-        return self._respond(request_id, outcome, source, began)
-
-    def _handle_plan_table(self, frame: dict) -> dict:
-        """Serve one size-classed plan table (cached + coalesced like plans).
-
-        The request key folds the size classes in through the options
-        channel, so a table request can never collide with a single-plan
-        request for the same collective; the table itself is produced by
-        :class:`~repro.service.jobs.PlanTableTask` on the worker pool.
+        A shard hit answers at once.  A miss plans on the worker pool,
+        coalesced onto any in-flight request with the same key: a ``plan``
+        seeds its search with the translated winners of the nearest machines
+        already planned, a ``plan_table`` runs
+        :class:`~repro.service.jobs.PlanTableTask`.
         """
         with self._lock:
             self.stats.requests += 1
         request_id = frame.get("id")
-        try:
-            machine = machine_from_dict(frame["machine"])
-            collective = str(frame["collective"])
-            size_classes = tuple(
-                (str(name), int(payload))
-                for name, payload in frame["size_classes"]
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ProtocolError(
-                f"malformed plan_table request: {exc}") from exc
-        if not size_classes:
-            raise ProtocolError("plan_table needs at least one size class")
-        if machine.faults is not None and machine.faults.drained_nodes:
-            raise FaultError(
-                f"machine {machine.name!r} has drained node(s) "
-                f"{list(machine.faults.drained_nodes)}; plan for the "
-                "shrunk survivor machine instead"
-            )
-        dtype = str(frame.get("dtype", "float32"))
-        options = dict(frame.get("options") or {})
-        key_options = dict(options)
-        key_options["kind"] = "plan_table"
-        key_options["size_classes"] = [list(sc) for sc in size_classes]
-        key = request_key(machine, collective,
-                          max(payload for _, payload in size_classes),
-                          dtype, key_options)
-        digest = machine_digest(machine)
+        task, key = _parse_plan_request(frame)
+        digest = machine_digest(task.machine)
 
         began = time.perf_counter()
         cached = self.cache.get(digest, key)
@@ -297,18 +262,11 @@ class PlanService:
                 self.stats.hits += 1
             return self._respond(request_id, cached, "hit", began)
 
-        def make_task() -> PlanTableTask:
-            return PlanTableTask(
-                machine=machine,
-                collective=collective,
-                size_classes=size_classes,
-                dtype_name=dtype,
-                pipelines=tuple(options.get("pipelines", SERVICE_PIPELINES)),
-                search_libraries=bool(options.get("search_libraries", False)),
-                max_full=options.get("max_full"),
-            )
-
-        future, mine = self.batcher.submit(key, make_task)
+        single = isinstance(task, PlanTask)
+        if single:
+            task = replace(task, warm_donors=self._warm_donors(
+                digest, task.machine, task.collective))
+        future, mine = self.batcher.submit(key, lambda: task)
         try:
             outcome = future.result()
         except HicclError:
@@ -316,16 +274,19 @@ class PlanService:
         except Exception as exc:  # pool failures surface as error frames
             raise ProtocolError(f"planning failed: {exc}") from exc
 
-        if mine:
-            with self._lock:
-                self.stats.planned += 1
-            self.cache.put(digest, key, outcome)
-            source = "cold"
-        else:
+        if not mine:
             with self._lock:
                 self.stats.coalesced += 1
-            source = "coalesced"
-        return self._respond(request_id, outcome, source, began)
+            return self._respond(request_id, outcome, "coalesced", began)
+        warm = bool(outcome.get("warm_seeds"))
+        with self._lock:
+            self.stats.planned += 1
+            self.stats.warm_started += warm
+        self.cache.put(digest, key, outcome)
+        if single:
+            self._record(digest, task.machine, task.collective, outcome)
+        return self._respond(request_id, outcome,
+                             "warm" if warm else "cold", began)
 
     @staticmethod
     def _respond(request_id, outcome: dict, source: str, began: float) -> dict:

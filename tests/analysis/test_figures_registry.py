@@ -13,6 +13,10 @@ import copy
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -26,6 +30,8 @@ from repro.analysis import (
     records_json,
     render,
 )
+
+ROOT = Path(__file__).resolve().parents[2]
 
 #: Figures cheap enough for the smoke tier (model-only, no throughput sims).
 CHEAP = ("fig1_volume", "fig2_bindings", "fig5_trees", "fig6_stages",
@@ -97,3 +103,25 @@ def test_register_rejects_duplicate_names():
     with pytest.raises(ValueError):
         analysis.registry.register(
             "fig1_volume", "dup", "figure", lambda: [], lambda r: "")
+
+
+def test_benchmark_fails_on_drifted_baseline_without_rewriting_it(tmp_path):
+    """A benchmark whose render differs from the committed baseline fails,
+    and the baseline file is left exactly as it was."""
+    drifted = tmp_path / "fig1_volume.txt"
+    drifted.write_text(baseline_dir().joinpath("fig1_volume.txt").read_text()
+                       + "one drifted line\n")
+    before = drifted.read_bytes()
+    env = dict(os.environ, REPRO_BASELINE_DIR=str(tmp_path),
+               PYTHONPATH=os.pathsep.join(
+                   filter(None, [str(ROOT / "src"),
+                                 os.environ.get("PYTHONPATH")])))
+    env.pop("REPRO_FULL", None)
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         "benchmarks/test_fig1_volume.py"],
+        cwd=ROOT, env=env, capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 1, proc.stdout
+    assert "repro figures fig1_volume --out-dir benchmarks/output" \
+        in proc.stdout
+    assert drifted.read_bytes() == before

@@ -1,4 +1,4 @@
-"""Tests for the figure data generators (fast subset; full runs live in
+"""Tests for the figure generators (fast subset; full runs live in
 benchmarks/), rendered through the ``repro.analysis`` renderers."""
 
 from __future__ import annotations
@@ -7,9 +7,11 @@ import pytest
 
 from repro import machines
 from repro.analysis.structure import (
+    FIG5_FACTORIZATIONS,
     gen_fig1_volume,
     gen_fig2_bindings,
     gen_fig5_trees,
+    gen_fig6_stages,
     gen_fig7_matrices,
     render_fig1_volume,
     render_fig2_bindings,
@@ -18,22 +20,17 @@ from repro.analysis.structure import (
 )
 from repro.analysis.throughput import gen_fig9, render_fig9
 from repro.bench.configs import ring_config, tree_config
-from repro.bench.figures import (
-    FIG5_FACTORIZATIONS,
-    fig1_broadcast_volume,
-    fig2_bindings,
-    fig5_trees,
-    fig6_stage_counts,
-    fig7_matrices,
-    fig9_curves,
-)
+
+
+def _rows(records, row):
+    return [r for r in records if r["row"] == row]
 
 
 class TestFig1:
     def test_volumes(self):
-        data = fig1_broadcast_volume(2, 3, 300)
-        assert data["direct"]["inter-node"] == 900
-        assert data["hierarchical"]["inter-node"] == 300
+        inter = {r["strategy"]: r["inter_node"]
+                 for r in _rows(gen_fig1_volume(2, 3, 300), "strategy")}
+        assert inter == {"direct": 900, "hierarchical": 300}
 
     def test_render_mentions_both(self):
         text = render_fig1_volume(gen_fig1_volume(2, 3, 300))
@@ -42,8 +39,8 @@ class TestFig1:
 
 class TestFig2:
     def test_three_panels(self):
-        data = fig2_bindings()
-        assert [case["panel"] for case in data] == ["a", "b", "c"]
+        records = _rows(gen_fig2_bindings(), "binding")
+        assert [case["panel"] for case in records] == ["a", "b", "c"]
 
     def test_render(self):
         assert "75%" in render_fig2_bindings(gen_fig2_bindings())
@@ -52,7 +49,7 @@ class TestFig2:
 class TestFig5:
     def test_six_factorizations(self):
         assert len(FIG5_FACTORIZATIONS) == 6
-        assert len(fig5_trees()) == 6
+        assert len(_rows(gen_fig5_trees(), "tree")) == 6
 
     def test_render_contains_vectors(self):
         text = render_fig5_trees(gen_fig5_trees())
@@ -61,16 +58,16 @@ class TestFig5:
 
 class TestFig6:
     def test_stage_counts(self):
-        counts = fig6_stage_counts(count=240)
-        assert counts["tree {2,2,3}"] == 4
-        assert counts["ring {4,3}"] == 5
+        counts = {r["label"]: r["stages"]
+                  for r in _rows(gen_fig6_stages(), "stages")}
+        assert counts == {"tree {2,2,3}": 4, "ring {4,3}": 5}
 
 
 class TestFig7:
     def test_matrices_shapes(self):
-        mats = fig7_matrices(count=240)
-        assert set(mats) == {"tree", "ring"}
-        for case in mats.values():
+        mats = _rows(gen_fig7_matrices(), "matrix")
+        assert {case["case"] for case in mats} == {"tree", "ring"}
+        for case in mats:
             assert len(case["volume"]) == 12
             assert len(case["library"]) == 12
 
@@ -81,12 +78,10 @@ class TestFig7:
 
 class TestFig9Small:
     def test_curves_structure(self):
-        m = machines.perlmutter(nodes=2)
-        curves = fig9_curves(m, "broadcast",
-                             payloads_bytes=[1 << 18, 1 << 22],
-                             depths=(1, 4))
-        assert set(curves) == {1, 4}
-        assert len(curves[1]) == 2
+        points = _rows(gen_fig9("broadcast", payloads_bytes=[1 << 18, 1 << 22],
+                                depths=(1, 4)), "point")
+        assert {r["depth"] for r in points} == {1, 4}
+        assert len([r for r in points if r["depth"] == 1]) == 2
 
     def test_render(self):
         records = gen_fig9("broadcast", payloads_bytes=[1 << 18, 1 << 22],

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.core.communicator import Communicator
-from repro.core.factorize import split_even
+from repro.core.passes import split_even
 from repro.machine.machines import generic
 from repro.transport.library import Library
 

@@ -7,60 +7,58 @@ import numpy as np
 import pytest
 
 from repro import Communicator, Library
-from repro.core.factorize import Accumulator, Lowering, split_even
 from repro.core.ops import ReduceOp
+from repro.core.passes import Accumulator, split_even
+from repro.core.passes.lir import LoweringState
 from repro.core.plan import OptimizationPlan
+from repro.core.primitives import Program
 from repro.core.schedule import ScheduleBuilder
 from repro.machine.machines import frontier, generic
 from repro.simulator.executor import execute
 from repro.simulator.process import MemoryPool
 
 
-def _plan(machine, hierarchy, libs, **kw):
-    return OptimizationPlan.create(machine, hierarchy, libs, **kw)
+def _state(machine, hierarchy, libs, **kw):
+    plan = OptimizationPlan.create(machine, hierarchy, libs, **kw)
+    return LoweringState(Program(machine.world_size), plan)
 
 
 class TestStripePeers:
     def test_rotation_keeps_root_first(self):
         machine = generic(2, 4, 4, name="sp")
-        plan = _plan(machine, [2, 4], [Library.MPI, Library.IPC], stripe=4)
-        low = Lowering(plan)
-        assert low._stripe_peers(0, 4) == [0, 1, 2, 3]
-        assert low._stripe_peers(2, 4) == [2, 3, 0, 1]
-        assert low._stripe_peers(5, 3) == [5, 6, 7]
+        low = _state(machine, [2, 4], [Library.MPI, Library.IPC], stripe=4)
+        assert low.stripe_peers(0, 4) == [0, 1, 2, 3]
+        assert low.stripe_peers(2, 4) == [2, 3, 0, 1]
+        assert low.stripe_peers(5, 3) == [5, 6, 7]
 
     def test_peers_stay_in_node(self):
         machine = generic(3, 4, 2, name="sp2")
-        plan = _plan(machine, [3, 4], [Library.MPI, Library.IPC], stripe=4)
-        low = Lowering(plan)
+        low = _state(machine, [3, 4], [Library.MPI, Library.IPC], stripe=4)
         for root in range(machine.world_size):
-            peers = low._stripe_peers(root, 4)
+            peers = low.stripe_peers(root, 4)
             assert all(machine.node_of(x) == machine.node_of(root) for x in peers)
 
     def test_effective_stripe_capped_by_count(self):
         machine = generic(2, 4, 4, name="sp3")
-        plan = _plan(machine, [2, 4], [Library.MPI, Library.IPC], stripe=4)
-        low = Lowering(plan)
-        assert low._effective_stripe(2) == 2
-        assert low._effective_stripe(100) == 4
+        low = _state(machine, [2, 4], [Library.MPI, Library.IPC], stripe=4)
+        assert low.effective_stripe(2) == 2
+        assert low.effective_stripe(100) == 4
 
 
 class TestPositionMatch:
     def test_same_offset_across_blocks(self):
         machine = generic(4, 4, 4, name="pm")
-        plan = _plan(machine, [4, 4], [Library.MPI, Library.IPC])
-        low = Lowering(plan)
+        low = _state(machine, [4, 4], [Library.MPI, Library.IPC])
         # Rank 5 (block 1, offset 1) matched into block 3 -> rank 13.
-        assert low._position_match(5, 3, 1) == 13
-        assert low._position_match(0, 2, 1) == 8
+        assert low.position_match(5, 3, 1) == 13
+        assert low.position_match(0, 2, 1) == 8
 
     def test_multi_node_blocks(self):
         machine = generic(4, 3, 1, name="pm2")
-        plan = _plan(machine, [2, 2, 3],
+        low = _state(machine, [2, 2, 3],
                      [Library.MPI, Library.MPI, Library.IPC])
-        low = Lowering(plan)
         # Depth-1 blocks span 6 ranks (two nodes); offset is preserved.
-        assert low._position_match(4, 1, 1) == 10
+        assert low.position_match(4, 1, 1) == 10
 
 
 class TestAccumulator:

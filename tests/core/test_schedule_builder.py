@@ -159,14 +159,14 @@ class TestRaceDetection:
 
 class TestScheduleValidation:
     def test_forward_dep_rejected(self):
-        sched = Schedule(2, [P2POp(0, 0, 1, "a", 0, "b", 0, 4, None, 0, 0, 0, (1,))], {})
+        op = P2POp(0, 0, 1, "a", 0, "b", 0, 4, None, 0, 0, 0, (1,))
         with pytest.raises(ScheduleError):
-            sched.validate()
+            Schedule.from_ops(2, [op], {})
 
     def test_wrong_uid_order_rejected(self):
-        sched = Schedule(2, [P2POp(1, 0, 1, "a", 0, "b", 0, 4, None, 0, 0, 0, ())], {})
+        op = P2POp(1, 0, 1, "a", 0, "b", 0, 4, None, 0, 0, 0, ())
         with pytest.raises(ScheduleError):
-            sched.validate()
+            Schedule.from_ops(2, [op], {})
 
     def test_stats(self):
         b = ScheduleBuilder(4)

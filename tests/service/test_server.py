@@ -11,7 +11,12 @@ from repro.errors import FaultError, HicclError
 from repro.machine.faults import FaultSet
 from repro.machine.machines import by_name
 from repro.service.client import PlanClient
-from repro.service.protocol import PROTOCOL_VERSION, decode_frame
+from repro.service.protocol import (
+    PROTOCOL_VERSION,
+    ProtocolError,
+    decode_frame,
+    machine_to_dict,
+)
 from repro.service.server import (
     MAX_FRAME_BYTES,
     PlanServer,
@@ -180,6 +185,49 @@ def test_malformed_plan_request_is_error_frame(server):
     with PlanClient(socket_path) as client:
         with pytest.raises(HicclError, match="malformed"):
             client.call({"type": "plan", "collective": "all_reduce"})
+
+
+def _frame(kind: str, **fields) -> dict:
+    """A well-formed ``plan``/``plan_table`` frame with ``fields`` replaced."""
+    return {
+        "id": 7, "type": kind,
+        "machine": machine_to_dict(by_name("delta", nodes=2)),
+        "collective": "all_reduce",
+        "payload_bytes": PAYLOAD,
+        "size_classes": [["small", PAYLOAD]],
+        **fields,
+    }
+
+
+#: Malformed fields that once escaped ``handle`` as bare Python errors.
+MALFORMED = {
+    "faults-not-object": {"machine": {
+        **machine_to_dict(by_name("delta", nodes=2)), "faults": [1, 2]}},
+    "options-not-object": {"options": [1]},
+    "pipelines-not-list": {"options": {"pipelines": 4}},
+}
+
+
+@pytest.mark.parametrize("kind", ["plan", "plan_table"])
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_request_is_protocol_error_frame(service, kind, case):
+    response = service.handle(_frame(kind, **MALFORMED[case]))
+    assert response["id"] == 7
+    assert response["status"] == "error"
+    assert response["error"] == "ProtocolError"
+    assert service.stats.errors == 1
+    assert service.batcher.planned == 0
+
+
+def test_malformed_requests_keep_the_connection(server):
+    socket_path, svc = server
+    with PlanClient(socket_path) as client:
+        for kind in ("plan", "plan_table"):
+            for fields in MALFORMED.values():
+                with pytest.raises(ProtocolError):
+                    client.call(_frame(kind, **fields))
+        assert client.ping()["protocol"] == PROTOCOL_VERSION
+    assert svc.stats.errors == 2 * len(MALFORMED)
 
 
 def test_oversized_frame_is_rejected_and_connection_closed(server):

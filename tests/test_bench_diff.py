@@ -2,10 +2,13 @@
 
 Synthetic reference/run payloads exercise every rule the CI ``bench-diff``
 matrix job relies on: exact-match keys fail on any change, wall-clock keys
-fail only past the 20% one-sided threshold, and the warm-cache factor rule
-fails only on order-of-magnitude regressions.  The rule table, the CI
-matrix, and the committed ``BENCH_<name>.json`` references must name the
-same benchmarks, so no leg can run without a reference to diff against.
+fail only past the 20% one-sided threshold, the warm-cache factor rule
+fails only on order-of-magnitude regressions, and a ruled key missing from
+the run fails.  The ``BENCHES`` registry checks itself against the
+committed references: every rule matches a committed key, and every
+reference passes its own rules and contract.  The registry, the CI matrix,
+and the committed ``BENCH_<name>.json`` references must name the same
+benchmarks, so no leg can run without a reference to diff against.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ import importlib.util
 import json
 import re
 import sys
-from fnmatch import fnmatch
+from fnmatch import fnmatch, fnmatchcase
 from pathlib import Path
 
 import pytest
@@ -82,6 +85,10 @@ def _run(bench, ref, new):
     return bench_diff.run_diff(bench, ref, new)
 
 
+def _committed(name: str) -> dict:
+    return json.loads((ROOT / f"BENCH_{name}.json").read_text())
+
+
 # ------------------------------------------------------------------ lowering
 def test_lowering_identical_run_passes():
     assert _run("lowering", LOWERING_REF, copy.deepcopy(LOWERING_REF)) == []
@@ -139,7 +146,8 @@ def test_simulator_speedup_fails_only_when_lower():
     assert _run("simulator", SIMULATOR_REF, better) == []
     worse = copy.deepcopy(SIMULATOR_REF)
     worse["speedup"] = 5.0
-    assert "speedup" in _run("simulator", SIMULATOR_REF, worse)
+    assert any("speedup" in f for f in _run("simulator", SIMULATOR_REF,
+                                              worse))
 
 
 # -------------------------------------------------------------------- faults
@@ -174,7 +182,7 @@ def test_planservice_outcome_change_fails():
     new = copy.deepcopy(PLANSERVICE_REF)
     new["outcomes"]["plans"]["delta/all_gather@16M"]["winner"] = [4, 3]
     failures = _run("planservice", PLANSERVICE_REF, new)
-    assert any("outcomes[plans]" in f for f in failures)
+    assert any("outcomes.plans" in f for f in failures)
 
 
 def test_planservice_warm_start_winner_is_exact_but_wall_is_free():
@@ -190,7 +198,8 @@ def test_planservice_throughput_drift_is_one_sided():
     new = copy.deepcopy(PLANSERVICE_REF)
     new["throughput"]["runs"][1]["requests_per_second"] = 300.0  # -29%
     failures = _run("planservice", PLANSERVICE_REF, new)
-    assert any("8-client" in f for f in failures)
+    assert any("throughput.runs.1.requests_per_second" in f
+               for f in failures)
     faster = copy.deepcopy(PLANSERVICE_REF)
     faster["throughput"]["runs"][1]["requests_per_second"] = 900.0
     assert _run("planservice", PLANSERVICE_REF, faster) == []
@@ -245,21 +254,21 @@ def test_serving_latency_percentiles_are_exact():
     new = copy.deepcopy(SERVING_REF)
     new["scenarios"][0]["latency"]["overall"]["p99"] *= 1.0001
     failures = _run("serving", SERVING_REF, new)
-    assert any("latency percentiles" in f for f in failures)
+    assert any("scenarios.0.latency" in f for f in failures)
 
 
 def test_serving_replay_counters_are_exact():
     new = copy.deepcopy(SERVING_REF)
     new["scenarios"][0]["replay_stats"]["fallbacks"] += 1
     failures = _run("serving", SERVING_REF, new)
-    assert any("replay counters" in f for f in failures)
+    assert any("scenarios.0.replay_stats" in f for f in failures)
 
 
 def test_serving_bit_identity_is_mandatory():
     new = copy.deepcopy(SERVING_REF)
     new["scenarios"][0]["bit_identical"] = False
     failures = _run("serving", SERVING_REF, new)
-    assert any("bit-identity" in f for f in failures)
+    assert any("scenarios.0.bit_identical" in f for f in failures)
 
 
 def test_serving_speedup_drift_is_one_sided():
@@ -279,7 +288,28 @@ def test_serving_leg_set_must_match():
     new = copy.deepcopy(SERVING_REF)
     new["scenarios"][0]["scenario"] = "continuous_batch"
     failures = _run("serving", SERVING_REF, new)
-    assert any("scenario legs changed" in f for f in failures)
+    assert any("scenarios.0.scenario" in f for f in failures)
+
+
+def test_planservice_missing_pairs_and_runs_fail():
+    """A run lacking ruled entries of the reference fails on each of them
+    (a pairwise ``zip`` would silently skip the unmatched tail)."""
+    ref = _committed("planservice")
+    new = copy.deepcopy(ref)
+    del new["warm_start"]["pairs"][1]
+    del new["throughput"]["runs"][1:]
+    failures = _run("planservice", ref, new)
+    assert "warm_start.pairs.1.cold_winner: missing from the run" in failures
+    for i in (1, 2, 3):
+        assert (f"throughput.runs.{i}.requests_per_second: "
+                "missing from the run") in failures
+
+
+def test_missing_exact_key_fails():
+    new = copy.deepcopy(LOWERING_REF)
+    del new["ops"]
+    assert _run("lowering", LOWERING_REF, new) == [
+        "ops: missing from the run"]
 
 
 def _ci_matrix_benches() -> list:
@@ -295,9 +325,42 @@ def _committed_references() -> list:
                   if not p.name.endswith(".ci.json"))
 
 
+def _paths(doc, prefix=""):
+    """Every dotted path of a JSON document (list items by index)."""
+    if isinstance(doc, dict):
+        items = doc.items()
+    elif isinstance(doc, list):
+        items = enumerate(doc)
+    else:
+        return
+    for key, value in items:
+        path = f"{prefix}.{key}" if prefix else str(key)
+        yield path
+        yield from _paths(value, path)
+
+
+@pytest.mark.parametrize("name", sorted(bench_diff.BENCHES))
+def test_every_rule_matches_a_committed_key(name):
+    """A misspelt rule would silently exempt the key it meant to guard."""
+    bench = bench_diff.BENCHES[name]
+    paths = list(_paths(_committed(name)))
+    patterns = [*bench.exact, *bench.drift, *bench.factor]
+    unmatched = [p for p in patterns
+                 if not any(fnmatchcase(path, p) for path in paths)]
+    assert not unmatched
+
+
+@pytest.mark.parametrize("name", sorted(bench_diff.BENCHES))
+def test_committed_reference_passes_its_rules_and_contract(name):
+    bench = bench_diff.BENCHES[name]
+    ref = _committed(name)
+    assert bench.diff(ref, copy.deepcopy(ref)) == []
+    assert bench.check(ref) == []
+
+
 def test_rules_ci_matrix_and_references_name_the_same_benches():
-    assert sorted(bench_diff.DIFFS) == _ci_matrix_benches()
-    assert sorted(bench_diff.DIFFS) == _committed_references()
+    assert sorted(bench_diff.BENCHES) == _ci_matrix_benches()
+    assert sorted(bench_diff.BENCHES) == _committed_references()
 
 
 def test_gitignore_lists_no_committed_reference():
@@ -305,6 +368,6 @@ def test_gitignore_lists_no_committed_reference():
                 for line in (ROOT / ".gitignore").read_text().splitlines()
                 if line.strip() and not line.lstrip().startswith("#")]
     ignored = [(f"BENCH_{name}.json", pattern)
-               for name in bench_diff.DIFFS for pattern in patterns
+               for name in bench_diff.BENCHES for pattern in patterns
                if fnmatch(f"BENCH_{name}.json", pattern)]
     assert not ignored

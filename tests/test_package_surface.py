@@ -18,7 +18,6 @@ MODULES = [
     "repro.core.buffers",
     "repro.core.communicator",
     "repro.core.composition",
-    "repro.core.factorize",
     "repro.core.intervals",
     "repro.core.latency",
     "repro.core.ops",

@@ -1,22 +1,16 @@
 #!/usr/bin/env python3
 """Diff a benchmark run against its committed reference.
 
-One entry point for the five benchmark-diff CI legs (see
+One entry point for the bench-diff CI legs (see
 .github/workflows/ci.yml's ``bench-diff`` matrix job)::
 
     python tools/bench_diff.py lowering     # BENCH_lowering.json vs .ci.json
     python tools/bench_diff.py simulator --ref a.json --new b.json
 
-Each benchmark keeps its own rules, mirroring what the model guarantees:
-
-* **deterministic model outputs** (op counts, schedule bytes, simulated
-  times, plan winners) must match the committed reference *exactly* — any
-  change fails;
-* **host-dependent wall-clock and throughput figures** tolerate
-  ``THRESHOLD`` (20%) one-sided drift — only the "worse" direction fails
-  (slower lowering, lower speedup/throughput);
-* **sub-millisecond warm timings** are all timer noise at percent scale, so
-  only an order-of-magnitude regression (warm approaching cold) fails.
+``BENCHES`` holds the :class:`benchkit.Bench` declared by every
+``tools/bench_<name>.py``: each benchmark names its exact-match,
+drift and warm-factor keys beside the code that measures them, and one
+rule engine (:meth:`benchkit.Bench.diff`) applies them.
 
 Exit status 1 with a summary when anything regressed, 0 otherwise.
 """
@@ -24,186 +18,33 @@ Exit status 1 with a summary when anything regressed, 0 otherwise.
 from __future__ import annotations
 
 import argparse
+import importlib
 import json
 import sys
 from pathlib import Path
 
-#: Tolerated one-sided drift for host-dependent (wall-clock) figures.
-THRESHOLD = 0.20
+TOOLS = Path(__file__).resolve().parent
+sys.path.insert(0, str(TOOLS))
 
-#: ``warm_total_seconds`` fails only when worse than this multiple of the
-#: reference (a cache regression makes warm look like cold).
-WARM_FACTOR = 10.0
-
-
-def drift(ref: float, new: float, worse_when: str) -> float:
-    """Signed fractional drift of ``new`` vs ``ref``; positive is worse."""
-    if worse_when == "higher":
-        return (new - ref) / ref
-    return (ref - new) / ref
-
-
-def diff_lowering(ref: dict, new: dict) -> list:
-    """Lowering bench: exact schedule shape, 20% wall drift, warm factor."""
-    failures = []
-    for key in ("workload", "ops", "schedule_mbytes"):
-        if new[key] != ref[key]:
-            failures.append(f"{key}: committed {ref[key]!r} vs run {new[key]!r}")
-    for key, worse_when in (
-        ("cold_lower_seconds", "higher"),
-        ("cold_simulate_seconds", "higher"),
-        ("cold_total_seconds", "higher"),
-        ("reference_unreplicated_total_seconds", "higher"),
-        ("speedup_vs_unreplicated", "lower"),
-    ):
-        r, n = ref[key], new[key]
-        d = drift(r, n, worse_when)
-        print(f"{key}: committed {r} vs run {n} ({d:+.1%} worse)")
-        if d > THRESHOLD:
-            failures.append(f"{key} drifted {d:+.1%}")
-    # Warm hits are sub-millisecond, so percent drift is all timer noise;
-    # only a cache regression (warm ~ cold) should fail.
-    r, n = ref["warm_total_seconds"], new["warm_total_seconds"]
-    print(f"warm_total_seconds: committed {r} vs run {n}")
-    if n > WARM_FACTOR * r:
-        failures.append(f"warm_total_seconds {n} > 10x committed {r}")
-    return failures
-
-
-def diff_simulator(ref: dict, new: dict) -> list:
-    """Simulator bench: 20% wall drift, exact simulated makespan."""
-    failures = []
-    for key, worse_when in (("event_seconds", "higher"),
-                            ("level_seconds", "higher"),
-                            ("speedup", "lower")):
-        r, n = ref[key], new[key]
-        d = drift(r, n, worse_when)
-        print(f"{key}: committed {r} vs run {n} ({d:+.1%} worse)")
-        if d > THRESHOLD:
-            failures.append(key)
-    if new["makespan_seconds"] != ref["makespan_seconds"]:
-        failures.append("makespan_seconds (simulated time must not move)")
-    return failures
-
-
-def diff_faults(ref: dict, new: dict) -> list:
-    """Fault bench: exact simulated times, 20% re-plan wall drift."""
-    failures = []
-    # Simulated times are deterministic model outputs: any change to the
-    # committed degraded-scenario numbers fails the job.
-    for section in ("replan", "elastic_shrink"):
-        for key, r in ref[section].items():
-            if key.endswith("wall_seconds"):
-                continue
-            n = new[section][key]
-            if n != r:
-                failures.append(f"{section}.{key}: committed {r} vs run {n}")
-    # Re-plan wall latency is host-dependent: tolerate 20% drift.
-    for section in ("replan", "elastic_shrink"):
-        r = ref[section]["replan_wall_seconds"]
-        n = new[section]["replan_wall_seconds"]
-        d = drift(r, n, "higher")
-        print(f"{section}.replan_wall_seconds: committed {r} vs "
-              f"run {n} ({d:+.1%})")
-        if d > THRESHOLD:
-            failures.append(f"{section}.replan_wall_seconds drifted {d:+.1%}")
-    return failures
-
-
-def diff_planservice(ref: dict, new: dict) -> list:
-    """Plan-service bench: exact winners, 20% latency/throughput drift."""
-    failures = []
-    # Plan outcomes are deterministic model outputs: the winning candidate
-    # and its simulated time must match the committed reference for every
-    # request key in the seeded stream.
-    for label, entry in ref["outcomes"].items():
-        got = new["outcomes"].get(label)
-        if got != entry:
-            failures.append(f"outcomes[{label}]: committed {entry!r} vs {got!r}")
-    for pair_ref, pair_new in zip(ref["warm_start"]["pairs"],
-                                  new["warm_start"]["pairs"]):
-        for key in ("cold_winner", "warm_winner",
-                    "cold_plan_seconds", "warm_plan_seconds"):
-            if pair_new[key] != pair_ref[key]:
-                failures.append(
-                    f"warm_start {pair_ref['system']} {key}: "
-                    f"committed {pair_ref[key]!r} vs {pair_new[key]!r}")
-    # Wall-clock and throughput figures are host-dependent: tolerate 20%
-    # one-sided drift (slower hits, lower throughput fail).
-    r = ref["warm_hits"]["hit_p50_seconds"]
-    n = new["warm_hits"]["hit_p50_seconds"]
-    print(f"hit_p50_seconds: committed {r} vs run {n}")
-    if (n - r) / r > THRESHOLD:
-        failures.append(f"hit_p50_seconds drifted {(n - r) / r:+.1%}")
-    for run_ref, run_new in zip(ref["throughput"]["runs"],
-                                new["throughput"]["runs"]):
-        r = run_ref["requests_per_second"]
-        n = run_new["requests_per_second"]
-        d = drift(r, n, "lower")
-        print(f"{run_ref['clients']}-client rps: committed {r} vs "
-              f"run {n} ({d:+.1%} worse)")
-        if d > THRESHOLD:
-            failures.append(
-                f"{run_ref['clients']}-client throughput drifted {d:+.1%}")
-    return failures
-
-
-def diff_serving(ref: dict, new: dict) -> list:
-    """Serving bench: exact latencies and counters, 20% wall drift.
-
-    Every simulated latency figure is a deterministic model output (the
-    replay engine is bit-identical to the event engine), so *any* change
-    to a percentile, a replay counter, or the bit-identity flag fails; the
-    replay-vs-naive wall speedup is host-dependent and tolerates 20%
-    one-sided drift (only slower fails).
-    """
-    failures = []
-    ref_legs = {(leg["system"], leg["scenario"]): leg
-                for leg in ref["scenarios"]}
-    new_legs = {(leg["system"], leg["scenario"]): leg
-                for leg in new["scenarios"]}
-    if sorted(ref_legs) != sorted(new_legs):
-        return [f"scenario legs changed: committed {sorted(ref_legs)} vs "
-                f"run {sorted(new_legs)}"]
-    for key, r_leg in ref_legs.items():
-        n_leg = new_legs[key]
-        label = "/".join(key)
-        if n_leg["latency"] != r_leg["latency"]:
-            failures.append(
-                f"{label}: latency percentiles changed (simulated "
-                "latencies must not move)")
-        if n_leg["replay_stats"] != r_leg["replay_stats"]:
-            failures.append(f"{label}: replay counters changed")
-        if not n_leg["bit_identical"]:
-            failures.append(f"{label}: replay lost bit-identity with the "
-                            "event engine")
-        r, n = r_leg["speedup"], n_leg["speedup"]
-        d = drift(r, n, "lower")
-        print(f"{label} speedup: committed {r} vs run {n} ({d:+.1%} worse)")
-        if d > THRESHOLD:
-            failures.append(f"{label}: replay speedup drifted {d:+.1%}")
-    return failures
-
-
-#: Benchmark name -> diff rule.  Matrix entries in ci.yml key into this.
-DIFFS = {
-    "lowering": diff_lowering,
-    "simulator": diff_simulator,
-    "faults": diff_faults,
-    "planservice": diff_planservice,
-    "serving": diff_serving,
+#: Benchmark name -> declaration, one per ``tools/bench_<name>.py``.
+#: Matrix entries in ci.yml key into this.
+BENCHES = {
+    bench.name: bench
+    for bench in (importlib.import_module(path.stem).BENCH
+                  for path in sorted(TOOLS.glob("bench_*.py"))
+                  if path.stem != "bench_diff")
 }
 
 
 def run_diff(bench: str, ref: dict, new: dict) -> list:
     """Apply one benchmark's rules; returns the list of failure strings."""
-    return DIFFS[bench](ref, new)
+    return BENCHES[bench].diff(ref, new)
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         description="diff a benchmark run against its committed reference")
-    parser.add_argument("bench", choices=sorted(DIFFS))
+    parser.add_argument("bench", choices=sorted(BENCHES))
     parser.add_argument("--ref", type=Path, default=None,
                         help="committed reference (default BENCH_<bench>.json)")
     parser.add_argument("--new", dest="new_path", type=Path, default=None,

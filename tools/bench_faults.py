@@ -27,13 +27,9 @@ Usage::
 
 from __future__ import annotations
 
-import argparse
-import json
 import sys
-from pathlib import Path
 
-REPO_ROOT = Path(__file__).resolve().parent.parent
-sys.path.insert(0, str(REPO_ROOT / "src"))
+from benchkit import Bench
 
 SYSTEM = "delta"
 
@@ -110,27 +106,27 @@ def measure() -> dict:
     }
 
 
-def main() -> int:
-    """Run the benchmark, check the contract, write the JSON document."""
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--out", default=str(REPO_ROOT / "BENCH_faults.json"))
-    args = parser.parse_args()
-    result = measure()
-    Path(args.out).write_text(json.dumps(result, indent=2) + "\n")
-    print(json.dumps(result, indent=2))
-    print(f"[saved to {args.out}]")
+def check(result: dict) -> list[str]:
+    """The hard acceptance contract; returns the violations."""
+    failures = []
     rep = result["replan"]
     if rep["replay_seconds"] < rep["healthy_seconds"]:
-        print("FAIL: degraded replay beat the healthy baseline")
-        return 1
+        failures.append("degraded replay beat the healthy baseline")
     if rep["replanned_seconds"] > rep["replay_seconds"]:
-        print("FAIL: degraded search winner lost to the healthy replay")
-        return 1
+        failures.append("degraded search winner lost to the healthy replay")
     if not result["empty_identity"]["ok"]:
-        print("FAIL: empty fault set is not a byte-identical no-op")
-        return 1
-    return 0
+        failures.append("empty fault set is not a byte-identical no-op")
+    return failures
+
+
+BENCH = Bench(
+    name="faults",
+    measure=measure,
+    exact=("replan.*", "elastic_shrink.*"),
+    drift={"*.replan_wall_seconds": "higher"},
+    check=check,
+)
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(BENCH.main())

@@ -7,7 +7,7 @@ schedule that dominates the fig8 panel's synthesis time — and emits
 ``BENCH_lowering.json`` for CI to archive, so synthesis-cost regressions
 show up as artifact diffs.
 
-Reported figures (seconds, best of ``--repeat`` runs):
+Reported figures (seconds, best of ``REPEAT`` runs):
 
 * ``cold_lower`` / ``cold_simulate`` / ``cold_total`` — the pass pipeline
   with template replication (the production path);
@@ -25,14 +25,10 @@ Usage::
 
 from __future__ import annotations
 
-import argparse
-import json
 import sys
 import time
-from pathlib import Path
 
-REPO_ROOT = Path(__file__).resolve().parent.parent
-sys.path.insert(0, str(REPO_ROOT / "src"))
+from benchkit import Bench
 
 #: The fig8 workload under measurement (see bench.figures.fig8_points).
 SYSTEM = "perlmutter"
@@ -40,6 +36,9 @@ NODES = 4
 COLLECTIVE = "all_reduce"
 PIPELINE = 32
 PAYLOAD_BYTES = 1 << 28
+
+#: Cold and reference runs per figure (the best one is reported).
+REPEAT = 2
 
 
 def _program_and_plan():
@@ -62,7 +61,7 @@ def _program_and_plan():
     return machine, comm.program, plan, cfg
 
 
-def measure(repeat: int) -> dict:
+def measure() -> dict:
     """Run the benchmark; returns the JSON-ready result document."""
     from repro.core.passes import lower_program, pipelining
     from repro.simulator.engine import simulate
@@ -73,7 +72,7 @@ def measure(repeat: int) -> dict:
     cold_lower = []
     cold_simulate = []
     schedule = None
-    for _ in range(repeat):
+    for _ in range(REPEAT):
         t0 = time.perf_counter()
         schedule = lower_program(program, plan)
         t1 = time.perf_counter()
@@ -87,7 +86,7 @@ def measure(repeat: int) -> dict:
     reference = []
     try:
         pipelining.channels_separable = lambda program: False
-        for _ in range(repeat):
+        for _ in range(REPEAT):
             t0 = time.perf_counter()
             ref_schedule = lower_program(program, plan)
             simulate(ref_schedule, machine, plan.libraries, elem_bytes)
@@ -112,7 +111,7 @@ def measure(repeat: int) -> dict:
         return time.perf_counter() - t0
 
     init_once()  # populate the cache
-    warm = [init_once() for _ in range(max(3, repeat))]
+    warm = [init_once() for _ in range(max(3, REPEAT))]
 
     cold_total = min(a + b for a, b in zip(cold_lower, cold_simulate))
     reference_total = min(reference)
@@ -124,7 +123,7 @@ def measure(repeat: int) -> dict:
         },
         "ops": len(schedule),
         "schedule_mbytes": round(schedule.nbytes() / 1e6, 3),
-        "repeat": repeat,
+        "repeat": REPEAT,
         "cold_lower_seconds": round(min(cold_lower), 4),
         "cold_simulate_seconds": round(min(cold_simulate), 4),
         "cold_total_seconds": round(cold_total, 4),
@@ -134,18 +133,20 @@ def measure(repeat: int) -> dict:
     }
 
 
-def main() -> int:
-    """Run the benchmark and write the JSON document."""
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--out", default=str(REPO_ROOT / "BENCH_lowering.json"))
-    parser.add_argument("--repeat", type=int, default=2)
-    args = parser.parse_args()
-    result = measure(args.repeat)
-    Path(args.out).write_text(json.dumps(result, indent=2) + "\n")
-    print(json.dumps(result, indent=2))
-    print(f"[saved to {args.out}]")
-    return 0
+BENCH = Bench(
+    name="lowering",
+    measure=measure,
+    exact=("workload", "ops", "schedule_mbytes"),
+    drift={
+        "cold_lower_seconds": "higher",
+        "cold_simulate_seconds": "higher",
+        "cold_total_seconds": "higher",
+        "reference_unreplicated_total_seconds": "higher",
+        "speedup_vs_unreplicated": "lower",
+    },
+    factor=("warm_total_seconds",),
+)
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(BENCH.main())

@@ -38,15 +38,11 @@ Usage::
 
 from __future__ import annotations
 
-import argparse
-import json
 import sys
 import threading
 import time
-from pathlib import Path
 
-REPO_ROOT = Path(__file__).resolve().parent.parent
-sys.path.insert(0, str(REPO_ROOT / "src"))
+from benchkit import REPO_ROOT, Bench
 
 #: Traffic shape: one seed, one stream, shared by every section.
 SEED = 2025
@@ -373,22 +369,23 @@ def check(result: dict) -> list[str]:
     return failures
 
 
-def main() -> int:
-    """Run the benchmark, check the contract, write the JSON document."""
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument(
-        "--out", default=str(REPO_ROOT / "BENCH_planservice.json")
-    )
-    args = parser.parse_args()
-    result = measure()
-    Path(args.out).write_text(json.dumps(result, indent=2) + "\n")
-    print(json.dumps(result, indent=2))
-    print(f"[saved to {args.out}]")
-    failures = check(result)
-    for failure in failures:
-        print(f"FAIL: {failure}")
-    return 1 if failures else 0
+BENCH = Bench(
+    name="planservice",
+    measure=measure,
+    exact=(
+        "outcomes.*",
+        "warm_start.pairs.*.cold_winner",
+        "warm_start.pairs.*.warm_winner",
+        "warm_start.pairs.*.cold_plan_seconds",
+        "warm_start.pairs.*.warm_plan_seconds",
+    ),
+    drift={
+        "warm_hits.hit_p50_seconds": "higher",
+        "throughput.runs.*.requests_per_second": "lower",
+    },
+    check=check,
+)
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(BENCH.main())

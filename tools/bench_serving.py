@@ -32,13 +32,9 @@ Usage::
 
 from __future__ import annotations
 
-import argparse
-import json
 import sys
-from pathlib import Path
 
-REPO_ROOT = Path(__file__).resolve().parent.parent
-sys.path.insert(0, str(REPO_ROOT / "src"))
+from benchkit import Bench
 
 #: One seeded trace per (system, scenario): size and seed.
 ARRIVALS = 1000
@@ -125,20 +121,20 @@ def check(result: dict) -> list[str]:
     return failures
 
 
-def main() -> int:
-    """Run the benchmark, check the contract, write the JSON document."""
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--out", default=str(REPO_ROOT / "BENCH_serving.json"))
-    args = parser.parse_args()
-    result = measure()
-    Path(args.out).write_text(json.dumps(result, indent=2) + "\n")
-    print(json.dumps(result, indent=2))
-    print(f"[saved to {args.out}]")
-    failures = check(result)
-    for failure in failures:
-        print(f"FAIL: {failure}")
-    return 1 if failures else 0
+BENCH = Bench(
+    name="serving",
+    measure=measure,
+    exact=(
+        "scenarios.*.system",
+        "scenarios.*.scenario",
+        "scenarios.*.latency",
+        "scenarios.*.replay_stats",
+        "scenarios.*.bit_identical",
+    ),
+    drift={"scenarios.*.speedup": "lower"},
+    check=check,
+)
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(BENCH.main())

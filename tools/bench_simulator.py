@@ -26,14 +26,10 @@ Usage::
 
 from __future__ import annotations
 
-import argparse
-import json
 import sys
 import time
-from pathlib import Path
 
-REPO_ROOT = Path(__file__).resolve().parent.parent
-sys.path.insert(0, str(REPO_ROOT / "src"))
+from benchkit import Bench
 
 #: Levelized-engine workload: leader-chained pipeline parallelism on the
 #: aggregate Frontier model (1,536 of the 9,408 deployed nodes keeps the
@@ -49,6 +45,9 @@ FIG8_COLLECTIVE = "all_reduce"
 FIG8_PAYLOAD_BYTES = 1 << 26
 
 MIN_SPEEDUP = 5.0
+
+#: Runs per engine (the best wall time is reported).
+REPEAT = 3
 
 
 def _fig8_probe() -> dict:
@@ -83,7 +82,7 @@ def _fig8_probe() -> dict:
     }
 
 
-def measure(repeat: int) -> dict:
+def measure() -> dict:
     """Run the benchmark; returns the JSON-ready result document."""
     from repro.bench.figures import compare_engines, pipeline_stage_schedule
     from repro.machine.machines import by_name
@@ -95,14 +94,14 @@ def measure(repeat: int) -> dict:
                                        count=COUNT)
     build_seconds = time.perf_counter() - t0
     row = compare_engines("pp-chain", schedule, machine,
-                          (Library.MPI, Library.IPC), repeat=repeat)
+                          (Library.MPI, Library.IPC), repeat=REPEAT)
     return {
         "workload": {
             "system": SYSTEM, "nodes": NODES, "ranks": machine.world_size,
             "microbatches": MICROBATCHES, "count": COUNT,
         },
         "ops": row.ops,
-        "repeat": repeat,
+        "repeat": REPEAT,
         "build_seconds": round(build_seconds, 4),
         "event_seconds": round(row.event_wall, 4),
         "level_seconds": round(row.level_wall, 4),
@@ -114,28 +113,31 @@ def measure(repeat: int) -> dict:
     }
 
 
-def main() -> int:
-    """Run the benchmark, check the contract, write the JSON document."""
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--out",
-                        default=str(REPO_ROOT / "BENCH_simulator.json"))
-    parser.add_argument("--repeat", type=int, default=3)
-    args = parser.parse_args()
-    result = measure(args.repeat)
-    Path(args.out).write_text(json.dumps(result, indent=2) + "\n")
-    print(json.dumps(result, indent=2))
-    print(f"[saved to {args.out}]")
+def check(result: dict) -> list[str]:
+    """The hard acceptance contract; returns the violations."""
+    failures = []
     if not result["identical"]:
-        print("FAIL: levelized engine diverged from the event loop")
-        return 1
+        failures.append("levelized engine diverged from the event loop")
     if result["engine_used"] != "level":
-        print("FAIL: levelized engine fell back on the benchmark workload")
-        return 1
+        failures.append(
+            "levelized engine fell back on the benchmark workload")
     if result["speedup"] < MIN_SPEEDUP:
-        print(f"FAIL: speedup {result['speedup']} < {MIN_SPEEDUP}")
-        return 1
-    return 0
+        failures.append(f"speedup {result['speedup']} < {MIN_SPEEDUP}")
+    return failures
+
+
+BENCH = Bench(
+    name="simulator",
+    measure=measure,
+    exact=("makespan_seconds",),
+    drift={
+        "event_seconds": "higher",
+        "level_seconds": "higher",
+        "speedup": "lower",
+    },
+    check=check,
+)
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(BENCH.main())

@@ -176,7 +176,8 @@ def gen_fig8(system: str) -> list:
 
 def _render_speedup_section(system: str, baseline: str,
                             records: list) -> list:
-    """The ``SpeedupReport.render()`` lines plus the paper note."""
+    """Per-collective speedups over one baseline, their geomean, and the
+    paper's number."""
     from ..bench.report import geomean
 
     ratios = {r["collective"]: r["ratio"] for r in records

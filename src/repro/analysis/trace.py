@@ -25,23 +25,6 @@ JOBS_PID = 0
 RESOURCES_PID = 1
 
 
-def _job_specs(workload):
-    """The JobSpecs of a workload (same construction as ``Workload.run``)."""
-    from ..simulator.engine import JobSpec
-
-    return [
-        JobSpec(
-            schedule=comm.global_schedule,
-            libraries=comm.plan.libraries,
-            elem_bytes=comm.dtype.itemsize,
-            offset=offset,
-            after=deps,
-            name=name,
-        )
-        for comm, name, offset, deps in workload.entries()
-    ]
-
-
 def workload_trace(workload, engine: str = "auto") -> dict:
     """Simulate ``workload`` and export its timelines as a Chrome trace.
 
@@ -53,7 +36,7 @@ def workload_trace(workload, engine: str = "auto") -> dict:
     from ..simulator.timing import price_schedule
 
     machine = workload.machine
-    specs = _job_specs(workload)
+    specs = workload.job_specs()
     timing = simulate_workload(specs, machine, engine=engine)
 
     resource_tids: dict[tuple, int] = {}

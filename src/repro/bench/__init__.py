@@ -11,13 +11,12 @@ from .configs import (
     tree_config,
 )
 from .degraded import DegradedProbe, degraded_probe, replan_probe, shrink_probe
-from .parallel import SweepPoint, hiccl_grid, run_sweep
-from .report import SpeedupReport, geomean, render_throughput_table, speedups
+from .parallel import SweepPoint, hiccl_grid
+from .report import geomean, render_throughput_table
 from .runner import (
     DEFAULT_PAYLOAD_BYTES,
     Measurement,
     payload_count,
-    peak_throughput,
     run_baseline,
     run_hiccl,
     sweep_payloads,
@@ -28,7 +27,6 @@ __all__ = [
     "DegradedProbe",
     "HicclConfig",
     "Measurement",
-    "SpeedupReport",
     "SweepPoint",
     "best_config",
     "degraded_probe",
@@ -37,16 +35,13 @@ __all__ = [
     "hiccl_grid",
     "hierarchical_config",
     "payload_count",
-    "peak_throughput",
     "pipelined_config",
     "render_throughput_table",
     "replan_probe",
     "ring_config",
     "run_baseline",
     "run_hiccl",
-    "run_sweep",
     "shrink_probe",
-    "speedups",
     "striped_config",
     "tree_config",
 ]

@@ -61,13 +61,13 @@ def fig8_system(machine: MachineSpec, payload_bytes: int = 1 << 29,
     """One panel of Figure 8: every collective x every implementation.
 
     ``jobs > 1`` fans the grid out to worker processes through
-    :func:`repro.bench.parallel.run_sweep`; the row order is identical to the
+    :func:`repro.bench.parallel.run_tasks`; the row order is identical to the
     serial run (baselines a library does not offer are dropped either way).
     """
-    from .parallel import run_sweep
+    from .parallel import run_tasks
 
     points = fig8_points(machine, payload_bytes, collectives)
-    results = run_sweep(points, jobs=jobs, cache_dir=cache_dir)
+    results = run_tasks(points, jobs=jobs, cache_dir=cache_dir)
     return [m for m in results if m is not None]
 
 

@@ -12,15 +12,14 @@ The evaluation figures are embarrassingly parallel — Figure 8 alone prices
   cache's disk layer when ``cache_dir`` is given, so a warm sweep prices each
   distinct configuration exactly once per machine rather than once per
   process;
-* results are merged deterministically: :func:`run_sweep` returns them in the
+* results are merged deterministically: :func:`run_tasks` returns them in the
   exact order of the input points regardless of which worker finished first,
   with un-runnable baselines (a library that lacks the collective, Table 1)
   reported as ``None`` just as the serial runner does.
 
 ``repro bench --jobs N`` on the CLI and the ``jobs=`` parameter of
-:func:`repro.bench.figures.fig8_system` are thin wrappers over
-:func:`run_sweep`; :func:`run_tasks` is the generic engine underneath it
-(any picklable object with a ``run()`` method), which is how the planner
+:func:`repro.bench.figures.fig8_system` call :func:`run_tasks` directly; it
+runs any picklable object with a ``run()`` method, which is how the planner
 (:mod:`repro.planner.search`) fans candidate evaluations out to the same
 worker pool.
 """
@@ -118,14 +117,14 @@ def run_tasks(
 ) -> list:
     """Run picklable ``.run()`` tasks, ``jobs`` at a time; results in order.
 
-    The generic engine under :func:`run_sweep`: a *task* is any picklable
-    object with a ``run()`` method (sweep :class:`SweepPoint`\\ s, planner
-    candidate evaluations, ...).  ``jobs <= 1`` runs serially in this
-    process (and therefore shares this process's plan cache); ``cache_dir``
-    points the plan cache — the workers' or, for a serial run, this
-    process's — at a shared on-disk layer; the in-process layer and its
-    statistics are kept either way.  Results are returned in input order
-    regardless of which worker finished first.
+    A *task* is any picklable object with a ``run()`` method (sweep
+    :class:`SweepPoint`\\ s, planner candidate evaluations, ...).  ``jobs
+    <= 1`` runs serially in this process (and therefore shares this
+    process's plan cache); ``cache_dir`` points the plan cache — the
+    workers' or, for a serial run, this process's — at a shared on-disk
+    layer; the in-process layer and its statistics are kept either way.
+    Results are returned in input order regardless of which worker
+    finished first.
     """
     tasks = list(tasks)
     if jobs == 0:
@@ -169,8 +168,8 @@ class TaskPool:
     """Persistent worker pool running ``.run()`` tasks with async completion.
 
     :func:`run_tasks` is a batch API: it blocks until the whole grid is
-    priced.  Long-running callers — the plan service's batcher
-    (:mod:`repro.service.batcher`) foremost — instead need to *submit* work
+    priced.  Long-running callers — the plan service
+    (:mod:`repro.service.server`) foremost — instead need to *submit* work
     as it arrives and react per task; this class wraps the same worker
     semantics (picklable ``.run()`` tasks, per-worker plan caches, optional
     shared ``cache_dir`` disk layer) behind ``submit() -> Future``.
@@ -222,19 +221,6 @@ class TaskPool:
     def __exit__(self, *exc) -> None:
         """Context-manager exit: shut the workers down."""
         self.shutdown()
-
-
-def run_sweep(
-    points,
-    jobs: int = 1,
-    cache_dir: str | os.PathLike | None = None,
-) -> list[Measurement | None]:
-    """Measure every point, ``jobs`` at a time; results in input order.
-
-    A thin, measurement-typed wrapper over :func:`run_tasks`; see there for
-    the worker-pool and plan-cache semantics.
-    """
-    return run_tasks(points, jobs=jobs, cache_dir=cache_dir)
 
 
 def hiccl_grid(

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .runner import Measurement
 
@@ -14,42 +13,6 @@ def geomean(values) -> float:
     if not values:
         return float("nan")
     return math.exp(sum(math.log(v) for v in values) / len(values))
-
-
-@dataclass(frozen=True)
-class SpeedupReport:
-    """HiCCL vs one baseline family across collectives on one system."""
-
-    system: str
-    baseline: str
-    per_collective: dict[str, float]
-
-    @property
-    def geomean_speedup(self) -> float:
-        return geomean(self.per_collective.values())
-
-    def render(self) -> str:
-        rows = [f"{self.system}: HiCCL speedup over {self.baseline}"]
-        for name, ratio in sorted(self.per_collective.items()):
-            rows.append(f"  {name:16s} {ratio:8.2f}x")
-        rows.append(f"  {'geomean':16s} {self.geomean_speedup:8.2f}x")
-        return "\n".join(rows)
-
-
-def speedups(hiccl: dict[str, Measurement], baseline: dict[str, Measurement],
-             system: str, baseline_name: str) -> SpeedupReport:
-    """Per-collective HiCCL / baseline throughput ratios.
-
-    Only collectives measured in *both* maps contribute (vendor libraries
-    lack several collectives; the paper's geomeans likewise only cover the
-    offered ones).
-    """
-    ratios = {
-        name: hiccl[name].throughput / baseline[name].throughput
-        for name in hiccl
-        if name in baseline
-    }
-    return SpeedupReport(system, baseline_name, ratios)
 
 
 def render_throughput_table(rows: list[Measurement], title: str = "") -> str:

@@ -120,8 +120,3 @@ def sweep_payloads(machine: MachineSpec, collective: str, config: HicclConfig,
                   warmup=1, rounds=1, dtype=dtype)
         for pb in payloads_bytes
     ]
-
-
-def peak_throughput(measurements) -> float:
-    """Peak GB/s across a sweep (Section 6.2's saturation criterion)."""
-    return max(m.throughput for m in measurements)

@@ -205,7 +205,7 @@ def cmd_bench(args) -> int:
 
     from .analysis.throughput import fig8_records, render_fig8
     from .bench.figures import fig8_points
-    from .bench.parallel import default_jobs, run_sweep
+    from .bench.parallel import default_jobs, run_tasks
     from .core.composition import FIGURE8_ORDER
     from .core.plancache import get_cache
 
@@ -216,7 +216,7 @@ def cmd_bench(args) -> int:
     points = fig8_points(machine, payload, collectives)
     jobs = args.jobs if args.jobs != 0 else default_jobs()
     t0 = time.perf_counter()
-    results = run_sweep(points, jobs=jobs, cache_dir=args.cache_dir)
+    results = run_tasks(points, jobs=jobs, cache_dir=args.cache_dir)
     elapsed = time.perf_counter() - t0
     rows = [m for m in results if m is not None]
     print(render_fig8(fig8_records(machine, rows, payload)))
@@ -255,25 +255,25 @@ def cmd_cache(args) -> int:
             return 2
         if args.json:
             print(_json.dumps(
-                {k: stats[k] for k in ("service", "batcher", "cache")},
+                {k: stats[k] for k in ("service", "cache")},
                 indent=2, sort_keys=True,
             ))
             return 0
-        svc, batch = stats["service"], stats["batcher"]
+        svc = stats["service"]
         print(f"plan service at {args.socket}")
         print(f"  requests={svc['requests']} hits={svc['hits']} "
               f"planned={svc['planned']} coalesced={svc['coalesced']} "
               f"warm-started={svc['warm_started']} errors={svc['errors']}")
-        print(f"  batcher: planned={batch['planned']} "
-              f"coalesced={batch['coalesced']} inflight={batch['inflight']}")
         for i, shard in enumerate(stats["cache"]["shards"]):
             print(f"  shard {i}: lookups={shard['lookups']} "
                   f"hits={shard['hits']} misses={shard['misses']} "
                   f"stores={shard['stores']} evictions={shard['evictions']} "
                   f"admission-rejected={shard['admission_rejected']} "
-                  f"entries={shard['entries']} bytes={shard['bytes']}")
+                  f"entries={shard['entries']} bytes={shard['bytes']} "
+                  f"inflight={shard['inflight']}")
         total = stats["cache"]["total"]
         print(f"  total: entries={total['entries']} bytes={total['bytes']} "
+              f"inflight={total['inflight']} "
               f"hit-rate={total['hit_rate']:.0%}")
         return 0
 
@@ -533,15 +533,11 @@ def cmd_serve(args) -> int:
         num_shards=args.shards,
         shard_capacity=args.shard_capacity,
         shard_bytes=_parse_size(args.shard_bytes),
-        warm_start=not args.no_warm_start,
-        admission=not args.no_admission,
         cache_dir=args.cache_dir,
     )
     with PlanServer(path, service) as server:
         print(f"plan service listening on {server.socket_path} "
-              f"(jobs={args.jobs}, shards={args.shards}, "
-              f"warm-start={'off' if args.no_warm_start else 'on'}, "
-              f"admission={'off' if args.no_admission else 'on'})")
+              f"(jobs={args.jobs}, shards={args.shards})")
         print("stop with: repro request --shutdown, or Ctrl-C")
         try:
             server.serve_forever(poll_interval=0.05)
@@ -951,10 +947,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="response entries per shard")
     p.add_argument("--shard-bytes", default="8M",
                    help="byte budget per shard, e.g. 8M")
-    p.add_argument("--no-warm-start", action="store_true",
-                   help="disable nearest-machine warm-started planning")
-    p.add_argument("--no-admission", action="store_true",
-                   help="disable frequency-sketch admission (plain LRU)")
     p.add_argument("--cache-dir", default=None,
                    help="shared on-disk plan cache for the workers")
     p.set_defaults(fn=cmd_serve)

@@ -1,4 +1,4 @@
-"""Concurrent plan service: a batched, sharded, warm-starting daemon.
+"""Concurrent plan service: a coalescing, sharded, warm-starting daemon.
 
 The planner (:mod:`repro.planner`) and plan cache (:mod:`repro.core.plancache`)
 are library calls inside one process; this package turns them into a
@@ -7,9 +7,9 @@ cache-or-plan RPC:
 
 * :mod:`~repro.service.protocol` — line-delimited JSON frames, machine
   descriptions by value, content-addressed request keys;
-* :mod:`~repro.service.batcher` — in-flight coalescing (identical keys plan
-  once) over the async :class:`~repro.bench.parallel.TaskPool`;
 * :mod:`~repro.service.shards` — machine-fingerprint-sharded response cache
+  that owns every request key: stored body, in-flight future (identical
+  keys plan once), or a new reservation, answered under one shard lock
   (per-shard LRU + byte budget + frequency-sketch admission);
 * :mod:`~repro.service.similarity` — nearest-machine index whose winners
   warm-start the planner's successive-halving search;
@@ -19,7 +19,6 @@ cache-or-plan RPC:
   traffic for the benchmark (``tools/bench_planservice.py``).
 """
 
-from .batcher import PlanBatcher
 from .client import PlanClient
 from .jobs import PlanTableTask, PlanTask, table_from_dict, table_to_dict
 from .protocol import (
@@ -30,7 +29,7 @@ from .protocol import (
     machine_to_dict,
     request_key,
 )
-from .server import PlanServer, PlanService, default_socket_path, serve
+from .server import PlanServer, PlanService, default_socket_path
 from .shards import FrequencySketch, ShardedPlanCache
 from .similarity import MachineIndex, machine_distance, translate_candidate
 from .traffic import TrafficRequest, synthetic_traffic, traffic_universe
@@ -39,7 +38,6 @@ __all__ = [
     "PROTOCOL_VERSION",
     "FrequencySketch",
     "MachineIndex",
-    "PlanBatcher",
     "PlanClient",
     "PlanServer",
     "PlanService",
@@ -54,7 +52,6 @@ __all__ = [
     "machine_from_dict",
     "machine_to_dict",
     "request_key",
-    "serve",
     "synthetic_traffic",
     "table_from_dict",
     "table_to_dict",

@@ -116,7 +116,7 @@ class PlanClient:
         return self.call(frame)
 
     def stats(self) -> dict:
-        """Service, batcher, and per-shard cache counters."""
+        """Service counters and per-shard cache counters (with in-flight keys)."""
         return self.call({"type": "stats"})
 
     def ping(self) -> dict:

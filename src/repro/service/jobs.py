@@ -1,4 +1,4 @@
-"""Picklable planning tasks the service batches onto the worker pool.
+"""Picklable planning tasks the service submits to the worker pool.
 
 A :class:`PlanTask` is the unit of work behind one coalesced request key:
 everything needed to run :func:`repro.planner.plan_collective` travels in

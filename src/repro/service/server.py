@@ -1,25 +1,27 @@
 """The planning daemon: service engine + Unix-socket frame server.
 
 :class:`PlanService` is the transport-free engine — it owns the sharded
-response cache, the coalescing batcher, the nearest-machine warm-start
-index, and the service counters, and exposes ``handle(frame) -> frame``.
-:class:`PlanServer` wraps it in a threaded Unix-domain-socket server
-speaking the line-delimited JSON protocol (:mod:`repro.service.protocol`);
-``repro serve`` runs one in the foreground, and tests drive one in-process
-on a temp-dir socket.
+response cache (which also owns every in-flight request key), the worker
+pool, the nearest-machine warm-start index, and the service counters, and
+exposes ``handle(frame) -> frame``.  :class:`PlanServer` wraps it in a
+threaded Unix-domain-socket server speaking the line-delimited JSON
+protocol (:mod:`repro.service.protocol`); ``repro serve`` runs one in the
+foreground, and tests drive one in-process on a temp-dir socket.
 
 Request flow for ``type: "plan"``:
 
 1. decode + rebuild the machine (drained-node machines are rejected with a
    ``FaultError`` frame up front, mirroring the replanner's contract — the
    planner cannot price traffic through a drained node);
-2. shard-cache lookup by request key → ``source: "hit"``;
-3. miss → look up the nearest *other* machine fingerprint that already has
-   a winner for this collective and seed the planner with its translated
-   candidates (``source: "warm"``), else plan cold (``source: "cold"``);
-4. identical concurrent keys coalesce onto one in-flight planning future
-   (``source: "coalesced"`` for the joiners), and the outcome is stored
-   back in the shard and the warm-start index.
+2. one shard-cache claim by request key answers ``source: "hit"`` with the
+   stored body, ``source: "coalesced"`` with the in-flight future of an
+   identical concurrent request, or reserves the key;
+3. the reserving request looks up the nearest *other* machine fingerprint
+   that already has a winner for this collective and seeds the planner
+   with its translated candidates (``source: "warm"``), else plans cold
+   (``source: "cold"``); settling the key stores the outcome in the shard
+   and wakes every coalesced waiter, and the winner joins the warm-start
+   index.
 """
 
 from __future__ import annotations
@@ -34,7 +36,6 @@ from pathlib import Path
 
 from ..bench.parallel import TaskPool
 from ..errors import FaultError, HicclError
-from .batcher import PlanBatcher
 from .jobs import (
     SERVICE_PIPELINES,
     PlanTableTask,
@@ -161,7 +162,7 @@ def _parse_plan_request(frame: dict) -> tuple[PlanTask | PlanTableTask, str]:
 
 
 class PlanService:
-    """Transport-free planning engine: cache, batcher, warm-start index."""
+    """Transport-free planning engine: cache, worker pool, warm-start index."""
 
     def __init__(
         self,
@@ -169,19 +170,14 @@ class PlanService:
         num_shards: int = DEFAULT_SHARDS,
         shard_capacity: int = DEFAULT_SHARD_CAPACITY,
         shard_bytes: int = DEFAULT_SHARD_BYTES,
-        warm_start: bool = True,
-        admission: bool = True,
         cache_dir: str | os.PathLike | None = None,
     ) -> None:
         self.cache = ShardedPlanCache(
             num_shards=num_shards,
             capacity=shard_capacity,
             max_bytes=shard_bytes,
-            admission=admission,
         )
         self.pool = TaskPool(jobs=jobs, cache_dir=cache_dir)
-        self.batcher = PlanBatcher(self.pool)
-        self.warm_start = bool(warm_start)
         self.stats = ServiceStats()
         self._lock = threading.Lock()
         self._index = MachineIndex()
@@ -191,8 +187,6 @@ class PlanService:
     # ------------------------------------------------------------- warm start
     def _warm_donors(self, digest: str, machine, collective) -> tuple:
         """Translated winner candidates from the nearest other machines."""
-        if not self.warm_start:
-            return ()
         donors = []
         with self._lock:
             neighbors = self._index.nearest(
@@ -229,7 +223,6 @@ class PlanService:
                 return {
                     "id": request_id, "status": "ok",
                     "service": service,
-                    "batcher": self.batcher.snapshot(),
                     "cache": self.cache.stats(),
                 }
             if kind in ("plan", "plan_table"):
@@ -243,10 +236,11 @@ class PlanService:
     def _handle_plan(self, frame: dict) -> dict:
         """Serve one ``plan`` or ``plan_table`` frame (cached + coalesced).
 
-        A shard hit answers at once.  A miss plans on the worker pool,
-        coalesced onto any in-flight request with the same key: a ``plan``
-        seeds its search with the translated winners of the nearest machines
-        already planned, a ``plan_table`` runs
+        One shard claim answers the key: a stored body at once, an
+        in-flight plan by waiting on its future, and otherwise this request
+        plans it on the worker pool (:meth:`_plan`) — a ``plan`` seeds its
+        search with the translated winners of the nearest machines already
+        planned, a ``plan_table`` runs
         :class:`~repro.service.jobs.PlanTableTask`.
         """
         with self._lock:
@@ -256,25 +250,22 @@ class PlanService:
         digest = machine_digest(task.machine)
 
         began = time.perf_counter()
-        cached = self.cache.get(digest, key)
-        if cached is not None:
+        source, found = self.cache.claim(digest, key)
+        if source == "hit":
             with self._lock:
                 self.stats.hits += 1
-            return self._respond(request_id, cached, "hit", began)
-
-        single = isinstance(task, PlanTask)
-        if single:
-            task = replace(task, warm_donors=self._warm_donors(
-                digest, task.machine, task.collective))
-        future, mine = self.batcher.submit(key, lambda: task)
+            return self._respond(request_id, found, "hit", began)
         try:
-            outcome = future.result()
+            if source == "planned":
+                outcome = self._plan(digest, key, task)
+            else:
+                outcome = found.result()
         except HicclError:
             raise
         except Exception as exc:  # pool failures surface as error frames
             raise ProtocolError(f"planning failed: {exc}") from exc
 
-        if not mine:
+        if source == "coalesced":
             with self._lock:
                 self.stats.coalesced += 1
             return self._respond(request_id, outcome, "coalesced", began)
@@ -282,11 +273,29 @@ class PlanService:
         with self._lock:
             self.stats.planned += 1
             self.stats.warm_started += warm
-        self.cache.put(digest, key, outcome)
-        if single:
+        if isinstance(task, PlanTask):
             self._record(digest, task.machine, task.collective, outcome)
         return self._respond(request_id, outcome,
                              "warm" if warm else "cold", began)
+
+    def _plan(self, digest: str, key: str, task) -> dict:
+        """Plan a key this request reserved, then settle it in the shard.
+
+        Runs outside every lock.  Whatever fails — the warm-start lookup,
+        the submit, or the task itself — fails every coalesced waiter with
+        the same exception and retires the key, so the next request for it
+        plans afresh.
+        """
+        try:
+            if isinstance(task, PlanTask):
+                task = replace(task, warm_donors=self._warm_donors(
+                    digest, task.machine, task.collective))
+            outcome = self.pool.submit(task).result()
+        except BaseException as exc:
+            self.cache.settle(digest, key, error=exc)
+            raise
+        self.cache.settle(digest, key, outcome)
+        return outcome
 
     @staticmethod
     def _respond(request_id, outcome: dict, source: str, began: float) -> dict:
@@ -347,9 +356,12 @@ class PlanServer(socketserver.ThreadingUnixStreamServer):
     """Threaded Unix-socket frame server around a :class:`PlanService`.
 
     Each connection gets its own thread, so N clients block only inside
-    the engine's locks (shard lock, batcher table) or on their own plan
-    future — never on each other's socket I/O.  Use as a context manager
-    or call :meth:`serve_forever` / :meth:`shutdown` like any
+    the engine's locks (shard lock, service counters) or on their own plan
+    future — never on each other's socket I/O.  The listen backlog is
+    ``socket.SOMAXCONN`` rather than socketserver's 5, so a fleet burst of
+    simultaneous connects queues in the kernel instead of being refused
+    while the accept loop is busy or not yet running.  Use as a context
+    manager or call :meth:`serve_forever` / :meth:`shutdown` like any
     ``socketserver``; :meth:`initiate_shutdown` is the async variant the
     ``shutdown`` frame uses (calling ``shutdown()`` from a handler thread
     would deadlock).
@@ -357,6 +369,7 @@ class PlanServer(socketserver.ThreadingUnixStreamServer):
 
     daemon_threads = True
     allow_reuse_address = True
+    request_queue_size = socket.SOMAXCONN
 
     def __init__(self, socket_path: str | os.PathLike, service: PlanService):
         self.socket_path = Path(socket_path)
@@ -378,19 +391,6 @@ class PlanServer(socketserver.ThreadingUnixStreamServer):
         except OSError:
             pass
         self.service.close()
-
-
-def serve(
-    socket_path: str | os.PathLike | None = None,
-    service: PlanService | None = None,
-    ready: threading.Event | None = None,
-) -> None:
-    """Run a daemon in the foreground until a ``shutdown`` frame arrives."""
-    path = Path(socket_path) if socket_path is not None else default_socket_path()
-    with PlanServer(path, service or PlanService()) as server:
-        if ready is not None:
-            ready.set()
-        server.serve_forever(poll_interval=0.05)
 
 
 def socket_alive(socket_path: str | os.PathLike) -> bool:

@@ -1,8 +1,18 @@
-"""Sharded response cache with frequency-sketch admission (TinyLFU-style).
+"""Sharded response cache, in-flight table and frequency-sketch admission.
 
 The daemon's hot path is a cache lookup, so its cache is engineered for
-concurrent skewed traffic rather than raw capacity:
+concurrent skewed traffic rather than raw capacity.  It is also the one
+owner of every request key: :meth:`ShardedPlanCache.claim` answers a key
+with its stored body, its in-flight planning future, or a newly reserved
+future, all under one shard lock, and :meth:`ShardedPlanCache.settle`
+stores the planned body and retires the key in one critical section, so
+no request can miss both the stored body and the in-flight future:
 
+* **Coalescing** — fleet traffic is bursty *and* redundant: when a
+  512-node job launches, all of its ranks' launchers ask for the same plan
+  within milliseconds.  The first request for a key reserves it and plans;
+  every duplicate that arrives before the key settles waits on the same
+  future, so the burst costs exactly one synthesis.
 * **Sharding** — entries partition by *machine fingerprint digest*
   (:func:`repro.service.protocol.machine_digest`): every request for one
   machine lands on one shard, so a burst from a single fleet contends on
@@ -28,6 +38,7 @@ from __future__ import annotations
 
 import json
 import threading
+from concurrent.futures import Future
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -117,12 +128,13 @@ class ShardStats:
 
 @dataclass
 class _Shard:
-    """One lock + LRU + sketch + counters partition."""
+    """One lock + LRU + sketch + in-flight table + counters partition."""
 
     lru: ByteBudgetLRU
     sketch: FrequencySketch
     stats: ShardStats = field(default_factory=ShardStats)
     lock: threading.Lock = field(default_factory=threading.Lock)
+    inflight: dict[str, Future] = field(default_factory=dict)
 
 
 def response_nbytes(body: dict) -> int:
@@ -131,19 +143,17 @@ def response_nbytes(body: dict) -> int:
 
 
 class ShardedPlanCache:
-    """Machine-fingerprint-sharded cache of plan response documents."""
+    """Machine-fingerprint-sharded owner of plan request keys."""
 
     def __init__(
         self,
         num_shards: int = DEFAULT_SHARDS,
         capacity: int = DEFAULT_SHARD_CAPACITY,
         max_bytes: int = DEFAULT_SHARD_BYTES,
-        admission: bool = True,
     ) -> None:
         if num_shards < 1:
             raise ValueError(f"need at least one shard, got {num_shards}")
         self.num_shards = int(num_shards)
-        self.admission = bool(admission)
         self._shards = [
             _Shard(ByteBudgetLRU(capacity, max_bytes), FrequencySketch())
             for _ in range(self.num_shards)
@@ -156,11 +166,16 @@ class ShardedPlanCache:
     def _shard(self, machine_digest: str) -> _Shard:
         return self._shards[self.shard_index(machine_digest)]
 
-    def get(self, machine_digest: str, key: str) -> dict | None:
-        """Cached response body for ``key``, else ``None``.
+    def claim(self, machine_digest: str, key: str) -> tuple[str, object]:
+        """Answer ``key`` as ``(source, value)`` under its shard lock.
 
-        Every lookup — hit or miss — feeds the frequency sketch, which is
-        what lets a repeatedly *missed* key earn admission later.
+        ``("hit", body)`` for a stored response; ``("coalesced", future)``
+        when the key is already being planned; ``("planned", future)`` when
+        this call reserved the key — the caller must then plan it and
+        :meth:`settle` it, and the future resolves for every waiter once it
+        does.  Every claim counts as one lookup (a hit or a miss) and feeds
+        the frequency sketch, which is what lets a repeatedly *missed* key
+        earn admission later.
         """
         shard = self._shard(machine_digest)
         with shard.lock:
@@ -169,57 +184,71 @@ class ShardedPlanCache:
             body = shard.lru.get(key)
             if body is not None:
                 shard.stats.hits += 1
-                return body
+                return "hit", body
             shard.stats.misses += 1
-            return None
+            future = shard.inflight.get(key)
+            if future is not None:
+                return "coalesced", future
+            future = shard.inflight[key] = Future()
+            return "planned", future
 
-    def put(self, machine_digest: str, key: str, body: dict) -> bool:
-        """Insert a response body; returns False when admission rejects it.
+    def settle(self, machine_digest: str, key: str, body: dict | None = None,
+               error: BaseException | None = None) -> bool:
+        """Finish a key :meth:`claim` reserved; True when its body was stored.
 
-        With admission on, an insert that would evict is allowed only if
-        the new key's sketch estimate is at least the LRU victim's — cold
-        one-shot keys bounce off a hot working set instead of churning it.
+        The body is stored (admission permitting) and the key retired in one
+        critical section, then the key's future resolves to ``body`` — or,
+        given ``error``, nothing is stored and the future raises ``error``
+        for every waiter.  Admission: an insert that would evict is allowed
+        only if the new key's sketch estimate is at least the LRU victim's,
+        so cold one-shot keys bounce off a hot working set instead of
+        churning it; a rejected or later evicted key plans again on its
+        next claim.
         """
         shard = self._shard(machine_digest)
-        nbytes = response_nbytes(body)
+        nbytes = response_nbytes(body) if error is None else 0
+        stored = False
         with shard.lock:
-            would_evict = (
-                shard.lru.get(key) is None
-                and (len(shard.lru) + 1 > shard.lru.capacity
-                     or shard.lru.total_bytes() + nbytes
-                     > shard.lru.max_total_bytes)
-            )
-            if self.admission and would_evict:
-                victim = shard.lru.peek_oldest()
-                if victim is not None and (
-                    shard.sketch.estimate(key)
-                    < shard.sketch.estimate(victim[0])
-                ):
-                    shard.stats.admission_rejected += 1
-                    return False
-            evicted = shard.lru.put(key, body, nbytes)
-            shard.stats.stores += 1
-            shard.stats.evictions += len(evicted)
-            return True
+            future = shard.inflight.pop(key)
+            if error is None:
+                stored = self._admit(shard, key, body, nbytes)
+        if error is None:
+            future.set_result(body)
+        else:
+            future.set_exception(error)
+        return stored
+
+    @staticmethod
+    def _admit(shard: _Shard, key: str, body: dict, nbytes: int) -> bool:
+        lru = shard.lru
+        if (len(lru) + 1 > lru.capacity
+                or lru.total_bytes() + nbytes > lru.max_total_bytes):
+            victim = lru.peek_oldest()
+            if victim is not None and (
+                shard.sketch.estimate(key) < shard.sketch.estimate(victim[0])
+            ):
+                shard.stats.admission_rejected += 1
+                return False
+        evicted = lru.put(key, body, nbytes)
+        shard.stats.stores += 1
+        shard.stats.evictions += len(evicted)
+        return True
 
     def stats(self) -> dict:
         """Per-shard and aggregate counters, JSON-shaped."""
         shards = []
         totals = ShardStats()
-        total_bytes = 0
-        total_entries = 0
+        gauges = {"entries": 0, "bytes": 0, "inflight": 0}
         for shard in self._shards:
             with shard.lock:
                 doc = shard.stats.to_dict()
                 doc["entries"] = len(shard.lru)
                 doc["bytes"] = shard.lru.total_bytes()
-                for name in ("lookups", "hits", "misses", "stores",
-                             "evictions", "admission_rejected"):
-                    setattr(totals, name, getattr(totals, name) + doc[name])
-                total_bytes += doc["bytes"]
-                total_entries += doc["entries"]
+                doc["inflight"] = len(shard.inflight)
+            for name in ("lookups", "hits", "misses", "stores",
+                         "evictions", "admission_rejected"):
+                setattr(totals, name, getattr(totals, name) + doc[name])
+            for name in gauges:
+                gauges[name] += doc[name]
             shards.append(doc)
-        aggregate = totals.to_dict()
-        aggregate["entries"] = total_entries
-        aggregate["bytes"] = total_bytes
-        return {"shards": shards, "total": aggregate}
+        return {"shards": shards, "total": {**totals.to_dict(), **gauges}}

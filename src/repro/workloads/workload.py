@@ -187,6 +187,21 @@ class Workload:
             )
         return j
 
+    def job_specs(self) -> list[JobSpec]:
+        """One :class:`~repro.simulator.engine.JobSpec` per registered job,
+        in entry order: what :meth:`run` hands the shared-timeline engine."""
+        return [
+            JobSpec(
+                schedule=comm.global_schedule,
+                libraries=comm.plan.libraries,
+                elem_bytes=comm.dtype.itemsize,
+                offset=offset,
+                after=deps,
+                name=name,
+            )
+            for comm, name, offset, deps in self._entries
+        ]
+
     def run(self, engine: str = "auto") -> WorkloadResult:
         """Price every job on the shared timeline and report slowdowns.
 
@@ -198,18 +213,8 @@ class Workload:
         """
         if not self._entries:
             raise CompositionError("workload has no jobs; add() some first")
-        specs = [
-            JobSpec(
-                schedule=comm.global_schedule,
-                libraries=comm.plan.libraries,
-                elem_bytes=comm.dtype.itemsize,
-                offset=offset,
-                after=deps,
-                name=name,
-            )
-            for comm, name, offset, deps in self._entries
-        ]
-        timing = simulate_workload(specs, self.machine, engine=engine)
+        timing = simulate_workload(self.job_specs(), self.machine,
+                                   engine=engine)
         reports = []
         for (comm, name, _, _), job in zip(self._entries, timing.jobs):
             isolated = comm.timing.elapsed

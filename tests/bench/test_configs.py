@@ -15,7 +15,7 @@ from repro.bench.configs import (
     striped_config,
     tree_config,
 )
-from repro.bench.report import geomean, render_throughput_table, speedups
+from repro.bench.report import geomean, render_throughput_table
 from repro.bench.runner import (
     Measurement,
     payload_count,
@@ -139,15 +139,6 @@ class TestReport:
     def test_geomean(self):
         assert geomean([2.0, 8.0]) == pytest.approx(4.0)
         assert geomean([]) != geomean([])  # NaN
-
-    def test_speedups_intersect_collectives(self):
-        a = {"x": Measurement("s", "x", "hiccl", 100, 0.01),
-             "y": Measurement("s", "y", "hiccl", 100, 0.01)}
-        b = {"x": Measurement("s", "x", "mpi", 100, 0.05)}
-        rep = speedups(a, b, "s", "mpi")
-        assert set(rep.per_collective) == {"x"}
-        assert rep.per_collective["x"] == pytest.approx(5.0)
-        assert "5.00x" in rep.render()
 
     def test_render_table(self):
         rows = [

@@ -8,7 +8,7 @@ import pytest
 
 from repro.bench.configs import hierarchical_config, tree_config
 from repro.bench.figures import fig8_points
-from repro.bench.parallel import SweepPoint, hiccl_grid, run_sweep
+from repro.bench.parallel import SweepPoint, hiccl_grid, run_tasks
 from repro.machine.machines import generic, perlmutter
 
 MACHINE = generic(2, 2, 1, name="sweeptest")
@@ -55,7 +55,7 @@ class TestSweepPoint:
 
 class TestRunSweep:
     def test_serial_results_in_input_order(self):
-        results = run_sweep(_points(), jobs=1)
+        results = run_tasks(_points(), jobs=1)
         assert len(results) == 4
         assert [m.collective for m in results if m is not None] == [
             "broadcast", "all_reduce", "gather"]
@@ -64,8 +64,8 @@ class TestRunSweep:
     def test_parallel_matches_serial(self):
         """Workers must merge deterministically: same values, same order."""
         points = _points()
-        serial = run_sweep(points, jobs=1)
-        parallel = run_sweep(points, jobs=2)
+        serial = run_tasks(points, jobs=1)
+        parallel = run_tasks(points, jobs=2)
         assert [(m.implementation, m.seconds) if m else None for m in serial] \
             == [(m.implementation, m.seconds) if m else None for m in parallel]
 
@@ -73,14 +73,14 @@ class TestRunSweep:
         from repro.core.plancache import SCHEMA_VERSION
 
         points = _points()[:2]
-        run_sweep(points, jobs=2, cache_dir=tmp_path)
+        run_tasks(points, jobs=2, cache_dir=tmp_path)
         persisted = list(tmp_path.glob(f"v{SCHEMA_VERSION}-*.npz"))
         assert len(persisted) == 2  # one plan per distinct config
 
         # A second parallel sweep hits the persistent layer instead of
         # re-synthesizing (observable as unchanged file mtimes).
         stamps = {p.name: p.stat().st_mtime_ns for p in persisted}
-        run_sweep(points, jobs=2, cache_dir=tmp_path)
+        run_tasks(points, jobs=2, cache_dir=tmp_path)
         assert {p.name: p.stat().st_mtime_ns
                 for p in tmp_path.glob(f"v{SCHEMA_VERSION}-*.npz")} == stamps
 
@@ -89,7 +89,7 @@ class TestRunSweep:
         from repro.core.plancache import SCHEMA_VERSION
 
         try:
-            run_sweep(_points()[:1], jobs=1, cache_dir=tmp_path)
+            run_tasks(_points()[:1], jobs=1, cache_dir=tmp_path)
             assert len(list(tmp_path.glob(f"v{SCHEMA_VERSION}-*.npz"))) == 1
         finally:
             plancache.reset()
@@ -97,7 +97,7 @@ class TestRunSweep:
     def test_unoffered_baseline_is_none_in_both_modes(self):
         point = SweepPoint(generic(2, 2, 1, name="aurora"), "gather",
                            family="vendor", payload_bytes=PAYLOAD)
-        assert run_sweep([point], jobs=1) == [None]
+        assert run_tasks([point], jobs=1) == [None]
 
 
 class TestGrids:
@@ -139,10 +139,10 @@ def test_cold_parallel_sweep_is_faster():
     points = fig8_points(machine, payload_bytes=1 << 26)
 
     t0 = time.perf_counter()
-    run_sweep(points, jobs=4)
+    run_tasks(points, jobs=4)
     parallel_s = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    run_sweep(points, jobs=1)
+    run_tasks(points, jobs=1)
     serial_s = time.perf_counter() - t0
     assert serial_s / parallel_s >= 1.3

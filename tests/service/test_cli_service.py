@@ -39,19 +39,19 @@ class TestParser:
         args = build_parser().parse_args(["serve"])
         assert args.jobs == 1
         assert args.shards >= 1
-        assert args.no_warm_start is False
-        assert args.no_admission is False
 
     def test_serve_flags(self):
         args = build_parser().parse_args([
-            "serve", "--jobs", "2", "--shards", "8",
-            "--shard-bytes", "4M", "--no-warm-start", "--no-admission",
+            "serve", "--jobs", "2", "--shards", "8", "--shard-bytes", "4M",
         ])
         assert args.jobs == 2
         assert args.shards == 8
         assert args.shard_bytes == "4M"
-        assert args.no_warm_start is True
-        assert args.no_admission is True
+
+    @pytest.mark.parametrize("flag", ["--no-warm-start", "--no-admission"])
+    def test_serve_has_no_feature_switches(self, flag):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["serve", flag])
 
     def test_request_defaults(self):
         args = build_parser().parse_args(["request", "all_reduce"])
@@ -105,10 +105,13 @@ class TestCache:
         assert main(["cache", "--socket", live_socket]) == 0
         out = capsys.readouterr().out
         assert "shard" in out
+        assert "inflight=0" in out
         assert main(["cache", "--socket", live_socket, "--json"]) == 0
         doc = json.loads(capsys.readouterr().out)
+        assert set(doc) == {"service", "cache"}
         assert doc["service"]["requests"] >= 1
         assert len(doc["cache"]["shards"]) >= 1
+        assert doc["cache"]["total"]["inflight"] == 0
 
 
 class TestShutdown:

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import socket
 import threading
+import time
+from concurrent.futures import Future
 
 import pytest
 
@@ -169,8 +171,9 @@ def test_server_round_trip_and_stats(server):
         assert stats["service"]["planned"] == 1
         assert stats["service"]["hits"] == 1
         assert stats["cache"]["total"]["entries"] == 1
+        assert stats["cache"]["total"]["inflight"] == 0
         assert len(stats["cache"]["shards"]) == svc.cache.num_shards
-        assert stats["batcher"]["planned"] == 1
+        assert set(stats) == {"id", "status", "service", "cache"}
 
 
 def test_unknown_request_type_is_error_frame(server):
@@ -216,7 +219,8 @@ def test_malformed_request_is_protocol_error_frame(service, kind, case):
     assert response["status"] == "error"
     assert response["error"] == "ProtocolError"
     assert service.stats.errors == 1
-    assert service.batcher.planned == 0
+    assert service.stats.planned == 0
+    assert service.cache.stats()["total"]["lookups"] == 0
 
 
 def test_malformed_requests_keep_the_connection(server):
@@ -281,9 +285,8 @@ def test_concurrent_clients_share_one_planning_pass(server):
     assert not failures
     assert len(winners) == 8
     assert all(w == winners[0] for w in winners)
-    # The batcher proves the plan was synthesized exactly once: every
-    # request either planned it, coalesced onto it, or hit the cache.
-    assert svc.batcher.planned == 1
+    # The plan was synthesized exactly once: every request either planned
+    # it, coalesced onto it, or hit the cache.
     assert svc.stats.planned == 1
     assert svc.stats.coalesced + svc.stats.hits == 7
 
@@ -301,3 +304,172 @@ def test_shutdown_frame_stops_server(tmp_path, fresh_cache):
     assert not thread.is_alive()
     srv.server_close()
     assert not socket_alive(socket_path)
+
+
+def _wait_for(predicate, timeout: float = 120.0) -> None:
+    deadline = time.monotonic() + timeout
+    while not predicate():
+        assert time.monotonic() < deadline, "timed out waiting"
+        time.sleep(0.005)
+
+
+def _lookups(service) -> int:
+    return service.cache.stats()["total"]["lookups"]
+
+
+def _handle_in_threads(service, frames) -> tuple[list, dict]:
+    """Start one ``service.handle`` thread per frame; responses by frame id."""
+    responses: dict = {}
+
+    def request(frame):
+        responses[frame["id"]] = service.handle(frame)
+
+    threads = [threading.Thread(target=request, args=(f,)) for f in frames]
+    for t in threads:
+        t.start()
+    return threads, responses
+
+
+def _join(threads) -> None:
+    for t in threads:
+        t.join(timeout=120)
+        assert not t.is_alive()
+
+
+def test_duplicates_in_flight_run_one_task(service):
+    """N concurrent duplicates: one pool task, N-1 coalesced, one winner."""
+    n = 6
+    gate = threading.Event()
+    tasks = []
+    submit = service.pool.submit
+
+    def gated_submit(task):
+        tasks.append(task)
+        gate.wait(timeout=120)
+        return submit(task)
+
+    service.pool.submit = gated_submit
+    threads, responses = _handle_in_threads(
+        service, [_frame("plan", id=i) for i in range(n)])
+    try:
+        # The creator is held inside submit, outside every lock, so each
+        # duplicate reaches the shard and joins the reserved key.
+        _wait_for(lambda: _lookups(service) == n)
+        assert len(tasks) == 1
+        assert service.cache.stats()["total"]["inflight"] == 1
+    finally:
+        gate.set()
+        _join(threads)
+
+    sources = sorted(r["source"] for r in responses.values())
+    assert sources == ["coalesced"] * (n - 1) + ["cold"]
+    assert len({str(r["winner"]) for r in responses.values()}) == 1
+    assert len(tasks) == 1
+    assert (service.stats.planned, service.stats.coalesced) == (1, n - 1)
+    assert service.cache.stats()["total"]["inflight"] == 0
+
+
+class _HeldFuture(Future):
+    """Mirrors a pool future, but ``result()`` waits for ``release``.
+
+    It resolves (running every done-callback) as soon as the plan
+    finishes, then holds the thread that reads it: the window between a
+    plan finishing and its creator resuming.
+    """
+
+    def __init__(self, inner: Future, release: threading.Event,
+                 finished: threading.Event) -> None:
+        super().__init__()
+        self._release = release
+        self._finished = finished
+        inner.add_done_callback(self._mirror)
+
+    def _mirror(self, inner: Future) -> None:
+        error = inner.exception()
+        if error is None:
+            self.set_result(inner.result())
+        else:
+            self.set_exception(error)
+        self._finished.set()
+
+    def result(self, timeout=None):
+        self._release.wait(timeout=120)
+        return super().result(timeout)
+
+
+def test_duplicate_after_plan_finishes_does_not_replan(service):
+    """A duplicate landing after the plan finished but before its creator
+    resumed joins the plan instead of running a second planning pass."""
+    release, finished = threading.Event(), threading.Event()
+    submit = service.pool.submit
+    service.pool.submit = lambda task: _HeldFuture(submit(task), release,
+                                                   finished)
+    threads, responses = _handle_in_threads(service,
+                                            [_frame("plan", id="creator")])
+    try:
+        assert finished.wait(timeout=120)  # planned; the creator is held
+        duplicate, more = _handle_in_threads(
+            service, [_frame("plan", id="duplicate")])
+        threads += duplicate
+        _wait_for(lambda: _lookups(service) == 2)
+    finally:
+        release.set()
+        _join(threads)
+
+    assert service.stats.planned == 1
+    assert responses["creator"]["source"] == "cold"
+    assert more["duplicate"]["source"] == "coalesced"
+    assert more["duplicate"]["winner"] == responses["creator"]["winner"]
+    assert service.handle(_frame("plan"))["source"] == "hit"
+
+
+def test_failed_plan_fails_every_waiter_and_retires_key(service):
+    n = 3
+    gate = threading.Event()
+    submit = service.pool.submit
+
+    def failing_submit(task):
+        gate.wait(timeout=120)
+        raise RuntimeError("boom")
+
+    service.pool.submit = failing_submit
+    threads, responses = _handle_in_threads(
+        service, [_frame("plan", id=i) for i in range(n)])
+    try:
+        _wait_for(lambda: _lookups(service) == n)
+    finally:
+        gate.set()
+        _join(threads)
+
+    for response in responses.values():
+        assert response["status"] == "error"
+        assert response["error"] == "ProtocolError"
+        assert "boom" in response["message"]
+    assert service.stats.errors == n
+    assert service.stats.planned == service.stats.coalesced == 0
+    assert service.cache.stats()["total"]["inflight"] == 0
+    # The key was retired with nothing stored: the next request plans.
+    service.pool.submit = submit
+    assert service.handle(_frame("plan"))["source"] == "cold"
+
+
+def test_burst_of_connections_before_serve_forever(tmp_path, fresh_cache):
+    """32 simultaneous connects all queue before the accept loop runs."""
+    socket_path = tmp_path / "svc.sock"
+    srv = PlanServer(socket_path, PlanService(jobs=1))
+    conns, connected = [], 0
+    try:
+        for _ in range(32):
+            conn = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+            conns.append(conn)
+            conn.setblocking(False)
+            try:
+                conn.connect(str(socket_path))
+            except (BlockingIOError, ConnectionRefusedError):
+                continue  # the listen backlog is full
+            connected += 1
+    finally:
+        for conn in conns:
+            conn.close()
+        srv.server_close()
+    assert connected == 32

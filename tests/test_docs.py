@@ -36,7 +36,23 @@ def test_no_broken_cross_references():
     checker.check_markdown_links(errors)
     checker.check_source_mentions(errors)
     checker.check_bench_references(errors)
+    checker.check_code_references(errors)
     assert not errors, "broken documentation references:\n" + "\n".join(errors)
+
+
+def test_code_reference_check_flags_missing_code(tmp_path):
+    checker = _load_checker()
+    (tmp_path / "DESIGN.md").write_text(
+        "Resolve: `service.shards`, `repro.core.plancache`, "
+        "`bench.parallel.TaskPool.submit`, `analysis.FIGURES`, `os.path`.\n"
+        "Broken: `service.batcher`, `repro.bench.parallel.run_sweep`.\n"
+        "```python\nx = `service.batcher`\n```\n")
+    errors: list[str] = []
+    checker.check_code_references(errors, docs=("DESIGN.md",),
+                                  root=tmp_path)
+    assert len(errors) == 2, errors
+    assert "`repro.bench.parallel.run_sweep`" in errors[0]
+    assert "`service.batcher`" in errors[1]
 
 
 def test_github_slugging():

@@ -66,6 +66,14 @@ MODULES = [
     "repro.planner.score",
     "repro.planner.search",
     "repro.planner.workload",
+    "repro.service",
+    "repro.service.client",
+    "repro.service.jobs",
+    "repro.service.protocol",
+    "repro.service.server",
+    "repro.service.shards",
+    "repro.service.similarity",
+    "repro.service.traffic",
 ]
 
 

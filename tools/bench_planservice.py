@@ -298,7 +298,6 @@ def measure_throughput() -> dict:
         for w in workers:
             w.join()
         wall = time.perf_counter() - t0
-        snapshot = service.batcher.snapshot()
         stats = service.stats.to_dict()
         server.shutdown()
         server.server_close()
@@ -313,7 +312,6 @@ def measure_throughput() -> dict:
             "planned": stats["planned"],
             "hits": stats["hits"],
             "coalesced": stats["coalesced"],
-            "batcher_coalesced": snapshot["coalesced"],
         })
     return {
         "serial_replan_samples": len(sample),

@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Cross-reference checker for the repository's Markdown documentation.
 
-Three classes of reference are validated so broken pointers fail the build
+Four classes of reference are validated so broken pointers fail the build
 (via ``tests/test_docs.py`` and ``tools/smoke.sh``):
 
 1. **Markdown links** — every relative ``[text](path#anchor)`` in a ``*.md``
@@ -18,6 +18,12 @@ Three classes of reference are validated so broken pointers fail the build
    ``BENCH_DOCS`` must exist at the repository root, so a claim never cites
    a reference file that is not there.  ROADMAP.md is exempt: it names
    planned benchmarks that do not exist yet.
+4. **Code references** — every backticked dotted name in ``CODE_DOCS`` that
+   starts with a ``repro`` subpackage (``service.shards``,
+   ``repro.core.plancache``, ``bench.parallel.TaskPool``) must name an
+   existing module, and the component after the module, if any, must be
+   defined or imported at that module's top level.  CHANGES.md and
+   ROADMAP.md are exempt: they name deleted and planned code.
 
 Run directly (``python tools/check_doc_links.py``); exits nonzero listing
 every broken reference.
@@ -25,6 +31,7 @@ every broken reference.
 
 from __future__ import annotations
 
+import ast
 import functools
 import re
 import sys
@@ -44,6 +51,13 @@ SRC_SECTION = re.compile(r"\b([A-Z][A-Z_]*\.md)\s+Section\s+(\d+)")
 #: Documents whose ``BENCH_<name>.json`` mentions must name committed files.
 BENCH_DOCS = ("README.md", "DESIGN.md", "EXPERIMENTS.md", "CHANGES.md")
 BENCH_MENTION = re.compile(r"\bBENCH_\w+\.json\b")
+
+#: Documents whose backticked ``repro`` dotted names must name real code.
+CODE_DOCS = ("README.md", "DESIGN.md", "EXPERIMENTS.md")
+PACKAGE_ROOT = REPO_ROOT / "src" / "repro"
+#: A backticked span that is exactly a dotted name (``a.b`` or longer).
+DOTTED_NAME = re.compile(r"`([A-Za-z_]\w*(?:\.[A-Za-z_]\w*)+)`")
+FENCE = re.compile(r"^```.*?^```", re.S | re.M)
 
 
 def github_slug(heading: str) -> str:
@@ -138,12 +152,67 @@ def check_bench_references(errors: list[str]) -> None:
                               "repository root")
 
 
+@functools.lru_cache(maxsize=None)
+def top_level_names(module_path: Path) -> frozenset[str]:
+    """Names a module defines or imports at its top level."""
+    names: set[str] = set()
+    for node in ast.parse(module_path.read_text(encoding="utf-8")).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names.update((a.asname or a.name).split(".")[0]
+                         for a in node.names)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) \
+                else [node.target]
+            names.update(n.id for t in targets for n in ast.walk(t)
+                         if isinstance(n, ast.Name))
+    return frozenset(names)
+
+
+def resolve_code_reference(dotted: str) -> str | None:
+    """Why ``dotted`` names no code, or ``None`` if it does.
+
+    Names whose first part (after an optional ``repro.``) is not a
+    ``repro`` subpackage are not code references and always resolve.
+    """
+    parts = dotted.split(".")
+    if parts[0] == "repro":
+        parts = parts[1:]
+    module = PACKAGE_ROOT / parts[0] / "__init__.py"
+    if not module.exists():
+        return None
+    for i, part in enumerate(parts[1:], start=1):
+        package = module.parent if module.name == "__init__.py" else None
+        if package and (package / part / "__init__.py").exists():
+            module = package / part / "__init__.py"
+        elif package and (package / f"{part}.py").exists():
+            module = package / f"{part}.py"
+        elif part in top_level_names(module):
+            return None
+        else:
+            return f"{'.'.join(parts[:i])} has no module or name {part!r}"
+    return None
+
+
+def check_code_references(errors: list[str], docs=CODE_DOCS,
+                          root: Path = REPO_ROOT) -> None:
+    for name in docs:
+        text = FENCE.sub("", (root / name).read_text(encoding="utf-8"))
+        for dotted in sorted(set(DOTTED_NAME.findall(text))):
+            problem = resolve_code_reference(dotted)
+            if problem is not None:
+                errors.append(f"{name}: `{dotted}` names no code: {problem}")
+
+
 def main() -> int:
-    """Run all three checks; print a report and return the exit code."""
+    """Run all four checks; print a report and return the exit code."""
     errors: list[str] = []
     check_markdown_links(errors)
     check_source_mentions(errors)
     check_bench_references(errors)
+    check_code_references(errors)
     if errors:
         print(f"{len(errors)} broken documentation reference(s):")
         for err in errors:

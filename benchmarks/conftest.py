@@ -18,16 +18,23 @@ OUTPUT_DIR = Path(__file__).parent / "output"
 
 
 def pytest_collection_modifyitems(items):
-    """Mark every benchmark as ``slow``.
+    """Mark every benchmark as ``slow`` and run the benchmarks last.
 
     The figure sweeps are minutes-long synthesis grids; the smoke job
     (``pytest -x -q -m "not slow"``, see tools/smoke.sh) skips them while the
-    full tier-1 run still executes everything.
+    full tier-1 run still executes everything.  Moving them behind the rest
+    of the collection lets ``pytest -x`` report a broken unit test within
+    minutes instead of after the sweeps; the set of tests is unchanged.
     """
     bench_root = Path(__file__).parent.resolve()
+    rest, sweeps = [], []
     for item in items:
         if bench_root in Path(str(item.fspath)).resolve().parents:
             item.add_marker(pytest.mark.slow)
+            sweeps.append(item)
+        else:
+            rest.append(item)
+    items[:] = rest + sweeps
 
 
 @pytest.fixture(scope="session")

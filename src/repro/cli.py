@@ -278,6 +278,12 @@ def cmd_cache(args) -> int:
         return 0
 
     cache = get_cache()
+    # Inspect the persistent layer even when this process has it disabled.
+    disk = cache if cache.disk_dir is not None else PlanCache(
+        disk_dir=default_disk_dir())
+    entries = disk.disk_entries()
+    size = sum(p.stat().st_size for p in entries)
+    stale = len(disk.disk_files()) - len(entries)
     if args.json:
         doc = {
             "schema": SCHEMA_VERSION,
@@ -294,15 +300,13 @@ def cmd_cache(args) -> int:
                 "evictions": cache.stats.evictions,
                 "seconds_saved": cache.stats.seconds_saved,
             },
-        }
-        disk_dir = cache.disk_dir if cache.disk_dir is not None else default_disk_dir()
-        entries = (sorted(disk_dir.glob("v*-*.npz")) if disk_dir.exists()
-                   else [])
-        doc["disk"] = {
-            "dir": str(disk_dir),
-            "active": cache.disk_dir is not None,
-            "entries": len(entries),
-            "bytes": sum(p.stat().st_size for p in entries),
+            "disk": {
+                "dir": str(disk.disk_dir),
+                "active": cache.disk_dir is not None,
+                "entries": len(entries),
+                "bytes": size,
+                "stale": stale,
+            },
         }
         print(_json.dumps(doc, indent=2, sort_keys=True))
         return 0
@@ -311,16 +315,11 @@ def cmd_cache(args) -> int:
           f"{cache.total_bytes() / 1e6:.2f} MB of plan arrays held "
           f"(budget {cache.max_total_bytes / 1e6:.0f} MB)")
     print(f"  stats: {cache.stats.render()}")
-    # Inspect the persistent layer even when this process has it disabled.
     state = "active" if cache.disk_dir is not None else "inactive; set REPRO_PLAN_CACHE=disk"
-    disk = cache if cache.disk_dir is not None else PlanCache(
-        disk_dir=default_disk_dir())
-    entries = (sorted(disk.disk_dir.glob("v*-*.npz"))
-               + sorted(disk.disk_dir.glob("v*-*.pkl"))
-               if disk.disk_dir.exists() else [])
-    total = sum(p.stat().st_size for p in entries)
     print(f"  disk layer ({state}): {disk.disk_dir}")
-    print(f"    {len(entries)} persisted plan(s), {total / 1e6:.2f} MB")
+    print(f"    {len(entries)} persisted plan(s), {size / 1e6:.2f} MB; "
+          f"{stale} stale file(s) of other schema versions or interrupted "
+          "stores")
     if args.clear:
         removed = disk.clear_disk()
         cache.clear()
@@ -372,7 +371,8 @@ def cmd_lower(args) -> int:
         machine, kw["hierarchy"], kw["library"],
         stripe=kw["stripe"], ring=kw["ring"], pipeline=kw["pipeline"],
     )
-    pipeline = PassPipeline(plan, fuse=args.fuse, dce=args.dce)
+    optimize = tuple(name for name in ("fuse", "dce") if getattr(args, name))
+    pipeline = PassPipeline(plan, optimize=optimize)
     lowered = pipeline.run(comm.program)
     sched = lowered.schedule
     print(f"lowering {args.collective} on {machine.describe()}")

@@ -3,331 +3,121 @@
 The paper's fence "is not a barrier, but a mechanism to express data
 dependencies between collections of primitives" (Section 3.3).  During
 lowering we must therefore discover, for every point-to-point operation, the
-*exact* earlier operations whose written byte ranges overlap the ranges it
-reads or writes.  This module provides the two data structures used for that
-analysis, both bisect-based over disjoint sorted ranges so queries and
-updates stay O(log n + k):
-
-``IntervalMap``
-    Maps half-open integer intervals ``[start, stop)`` to the id of the last
-    operation that *wrote* that range.  Inserting a new write overwrites any
-    overlapped portion of existing intervals (splitting them as needed), so
-    the map always equals "most recent writer per element".
-
-``IntervalSet``
-    Tracks *reader* op ids per element — used for write-after-read
-    dependencies when a later step reuses a buffer an earlier step read (the
-    in-place All-gather of Figure 4 relies on this).  Internally a disjoint
-    interval map whose payload is a set of tags, since multiple ops may read
-    the same range concurrently.
+*exact* earlier operations whose byte ranges overlap the ranges it reads or
+writes.  One structure serves every such question: :class:`IntervalSet`,
+disjoint sorted half-open ranges located by bisect, each carrying the set of
+op ids that touch it.  The schedule builder keeps one per (rank, buffer) for
+the most recent writer (:meth:`IntervalSet.write` replaces a range's set)
+and one for the live readers (:meth:`IntervalSet.add` unions into it), so
+queries and updates stay O(log n + k).
 """
 
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass
-
-import numpy as np
-
-#: Maps smaller than this answer queries faster through plain bisect; the
-#: numpy fast path only pays off once the array views amortize its setup.
-NUMPY_MIN_ENTRIES = 32
-
-
-@dataclass(frozen=True)
-class Interval:
-    """Half-open interval ``[start, stop)`` tagged with an op id."""
-
-    start: int
-    stop: int
-    tag: int
-
-    def overlaps(self, start: int, stop: int) -> bool:
-        return start < stop and self.start < stop and start < self.stop
-
-
-class IntervalMap:
-    """Most-recent-writer map over half-open integer intervals.
-
-    Mutation stays bisect-based (writes splice small windows), but bulk
-    conflict *queries* — the hot loop of the schedule builder, which asks
-    "who wrote any byte of this range?" for every read and write of every
-    emitted op — take a vectorized numpy path over lazily rebuilt column
-    arrays.  The builder's access pattern (a burst of writes at each fence
-    commit, then thousands of queries while lowering the next step) means the
-    arrays are rebuilt once per step, not once per write.
-    """
-
-    __slots__ = ("_starts", "_entries", "_np_starts", "_np_stops", "_np_tags",
-                 "_np_dirty", "_vectorized")
-
-    def __init__(self, vectorized: bool = True) -> None:
-        # ``vectorized=False`` keeps the pure-bisect query path: right for
-        # maps whose writes and queries interleave per operation (the
-        # builder's intra-step maps), where a per-query column rebuild would
-        # cost more than it saves.
-        self._starts: list[int] = []
-        self._entries: list[Interval] = []
-        self._np_starts: np.ndarray | None = None
-        self._np_stops: np.ndarray | None = None
-        self._np_tags: np.ndarray | None = None
-        self._np_dirty = True
-        self._vectorized = vectorized
-
-    def _refresh_columns(self) -> None:
-        if self._np_dirty:
-            n = len(self._entries)
-            self._np_starts = np.fromiter(
-                (e.start for e in self._entries), np.int64, n)
-            self._np_stops = np.fromiter(
-                (e.stop for e in self._entries), np.int64, n)
-            self._np_tags = np.fromiter(
-                (e.tag for e in self._entries), np.int64, n)
-            self._np_dirty = False
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def __iter__(self):
-        return iter(self._entries)
-
-    def _locate(self, start: int, stop: int) -> tuple[int, int]:
-        """Index range [lo, hi) of entries overlapping ``[start, stop)``."""
-        lo = bisect.bisect_left(self._starts, start)
-        if lo > 0 and self._entries[lo - 1].stop > start:
-            lo -= 1
-        hi = lo
-        n = len(self._entries)
-        while hi < n and self._entries[hi].start < stop:
-            hi += 1
-        return lo, hi
-
-    def overlapping(self, start: int, stop: int) -> list[Interval]:
-        """Return entries overlapping ``[start, stop)`` in position order."""
-        if start >= stop or not self._entries:
-            return []
-        lo, hi = self._locate(start, stop)
-        return [e for e in self._entries[lo:hi] if e.overlaps(start, stop)]
-
-    def tags_overlapping(self, start: int, stop: int) -> list[int]:
-        """Distinct op ids writing any element of ``[start, stop)``.
-
-        Tags come back in entry-position order, deduplicated by first
-        occurrence (the order the bisect path has always produced).
-        """
-        n = len(self._entries)
-        if start >= stop or not n:
-            return []
-        if self._vectorized and n >= NUMPY_MIN_ENTRIES:
-            self._refresh_columns()
-            lo = int(np.searchsorted(self._np_starts, start, side="left"))
-            if lo > 0 and self._np_stops[lo - 1] > start:
-                lo -= 1
-            hi = int(np.searchsorted(self._np_starts, stop, side="left"))
-            if lo >= hi:
-                return []
-            window = self._np_stops[lo:hi] > start  # starts < stop by choice of hi
-            tags = self._np_tags[lo:hi][window].tolist()
-            return list(dict.fromkeys(tags))
-        seen: dict[int, None] = {}
-        for entry in self.overlapping(start, stop):
-            seen.setdefault(entry.tag)
-        return list(seen)
-
-    def write(self, start: int, stop: int, tag: int) -> None:
-        """Record that op ``tag`` wrote ``[start, stop)``.
-
-        Overlapped portions of existing intervals are replaced; partially
-        overlapped intervals are trimmed/split so the map stays disjoint.
-        """
-        if start >= stop:
-            return
-        self._np_dirty = True
-        if not self._entries:
-            self._entries.append(Interval(start, stop, tag))
-            self._starts.append(start)
-            return
-        lo, hi = self._locate(start, stop)
-        overlapped = [e for e in self._entries[lo:hi] if e.overlaps(start, stop)]
-        if not overlapped:
-            pos = bisect.bisect_left(self._starts, start)
-            self._entries.insert(pos, Interval(start, stop, tag))
-            self._starts.insert(pos, start)
-            return
-        first = lo if self._entries[lo].overlaps(start, stop) else lo + 1
-        last = first + len(overlapped)
-        replacement: list[Interval] = []
-        head = overlapped[0]
-        if head.start < start:
-            replacement.append(Interval(head.start, start, head.tag))
-        replacement.append(Interval(start, stop, tag))
-        tail = overlapped[-1]
-        if tail.stop > stop:
-            replacement.append(Interval(stop, tail.stop, tail.tag))
-        self._entries[first:last] = replacement
-        self._starts[first:last] = [e.start for e in replacement]
-
-    def covered(self, start: int, stop: int) -> bool:
-        """Whether every element of ``[start, stop)`` has a recorded writer."""
-        cursor = start
-        for entry in self.overlapping(start, stop):
-            if entry.start > cursor:
-                return False
-            cursor = max(cursor, entry.stop)
-        return cursor >= stop
 
 
 class IntervalSet:
-    """Readers-per-element map: disjoint sorted ranges carrying tag sets.
+    """Op ids per element: disjoint sorted ranges carrying tag sets.
 
-    Like :class:`IntervalMap`, queries over large maps locate the overlapping
-    window with vectorized searchsorted/compare over lazily rebuilt numpy
-    columns; only the union of the few surviving tag sets stays in Python.
+    ``write`` makes a range's set one tag (most-recent writer), ``add``
+    unions a tag into it (concurrent readers), ``remove_range`` clears it,
+    and ``tags_overlapping`` asks which ops touch any element of a range.
     """
 
-    __slots__ = ("_starts", "_stops", "_tags", "_np_starts", "_np_stops",
-                 "_np_dirty", "_vectorized")
+    __slots__ = ("_starts", "_stops", "_tags")
 
-    def __init__(self, vectorized: bool = True) -> None:
+    def __init__(self) -> None:
         self._starts: list[int] = []
         self._stops: list[int] = []
         self._tags: list[frozenset[int]] = []
-        self._np_starts: np.ndarray | None = None
-        self._np_stops: np.ndarray | None = None
-        self._np_dirty = True
-        self._vectorized = vectorized
-
-    def _refresh_columns(self) -> None:
-        if self._np_dirty:
-            self._np_starts = np.array(self._starts, dtype=np.int64)
-            self._np_stops = np.array(self._stops, dtype=np.int64)
-            self._np_dirty = False
 
     def __len__(self) -> int:
         return len(self._starts)
 
     def __iter__(self):
-        """Iterate as flat ``Interval`` records (one per (range, tag))."""
-        for start, stop, tags in zip(self._starts, self._stops, self._tags):
-            for tag in sorted(tags):
-                yield Interval(start, stop, tag)
+        """Iterate the entries as ``(start, stop, tags)`` in position order."""
+        return zip(self._starts, self._stops, self._tags)
 
     def _locate(self, start: int, stop: int) -> tuple[int, int]:
+        """Index range [lo, hi) of the entries overlapping ``[start, stop)``."""
         lo = bisect.bisect_left(self._starts, start)
-        if lo > 0 and self._stops[lo - 1] > start:
+        if lo and self._stops[lo - 1] > start:
             lo -= 1
-        hi = lo
-        n = len(self._starts)
-        while hi < n and self._starts[hi] < stop:
-            hi += 1
-        return lo, hi
+        return lo, bisect.bisect_left(self._starts, stop, lo)
+
+    def _splice(self, lo: int, hi: int, start: int, stop: int,
+                starts: list[int], stops: list[int],
+                tags: list[frozenset[int]]) -> None:
+        """Replace entries ``[lo, hi)`` by the given pieces of ``[start,
+        stop)``, keeping the parts of those entries outside it."""
+        if lo < hi:
+            if self._starts[lo] < start:
+                starts.insert(0, self._starts[lo])
+                stops.insert(0, start)
+                tags.insert(0, self._tags[lo])
+            if self._stops[hi - 1] > stop:
+                starts.append(stop)
+                stops.append(self._stops[hi - 1])
+                tags.append(self._tags[hi - 1])
+        self._starts[lo:hi] = starts
+        self._stops[lo:hi] = stops
+        self._tags[lo:hi] = tags
+
+    def write(self, start: int, stop: int, tag: int) -> None:
+        """Record that op ``tag`` wrote ``[start, stop)``: the range's set
+        becomes ``{tag}``, so the set tracks the most recent writer."""
+        if start < stop:
+            lo, hi = self._locate(start, stop)
+            self._splice(lo, hi, start, stop, [start], [stop],
+                         [frozenset((tag,))])
 
     def add(self, start: int, stop: int, tag: int) -> None:
-        """Record that op ``tag`` read ``[start, stop)``."""
+        """Record that op ``tag`` read ``[start, stop)``: union it into the
+        range's set (several ops may read one range concurrently)."""
         if start >= stop:
             return
-        self._np_dirty = True
         lo, hi = self._locate(start, stop)
-        new_starts: list[int] = []
-        new_stops: list[int] = []
-        new_tags: list[frozenset[int]] = []
-        cursor = start
         single = frozenset((tag,))
+        starts: list[int] = []
+        stops: list[int] = []
+        tags: list[frozenset[int]] = []
+        cursor = start
         for i in range(lo, hi):
-            s, e, tags = self._starts[i], self._stops[i], self._tags[i]
-            if e <= start or s >= stop:
-                # Entry inside the located window but not actually overlapping.
-                new_starts.append(s)
-                new_stops.append(e)
-                new_tags.append(tags)
-                continue
-            if s < start:  # head piece outside the new range
-                new_starts.append(s)
-                new_stops.append(start)
-                new_tags.append(tags)
-                s = start
+            s = max(self._starts[i], start)
             if cursor < s:  # gap before this entry gets the new tag alone
-                new_starts.append(cursor)
-                new_stops.append(s)
-                new_tags.append(single)
-            mid_stop = min(e, stop)
-            new_starts.append(s)
-            new_stops.append(mid_stop)
-            new_tags.append(tags | single)
-            cursor = mid_stop
-            if e > stop:  # tail piece outside the new range
-                new_starts.append(stop)
-                new_stops.append(e)
-                new_tags.append(tags)
+                starts.append(cursor)
+                stops.append(s)
+                tags.append(single)
+            cursor = min(self._stops[i], stop)
+            starts.append(s)
+            stops.append(cursor)
+            tags.append(self._tags[i] | single)
         if cursor < stop:
-            new_starts.append(cursor)
-            new_stops.append(stop)
-            new_tags.append(single)
-        self._starts[lo:hi] = new_starts
-        self._stops[lo:hi] = new_stops
-        self._tags[lo:hi] = new_tags
-
-    def tags_overlapping(self, start: int, stop: int) -> list[int]:
-        n = len(self._starts)
-        if start >= stop or not n:
-            return []
-        if self._vectorized and n >= NUMPY_MIN_ENTRIES:
-            self._refresh_columns()
-            lo = int(np.searchsorted(self._np_starts, start, side="left"))
-            if lo > 0 and self._np_stops[lo - 1] > start:
-                lo -= 1
-            hi = int(np.searchsorted(self._np_starts, stop, side="left"))
-            if lo >= hi:
-                return []
-            seen: dict[int, None] = {}
-            hits = np.nonzero(self._np_stops[lo:hi] > start)[0]
-            for i in hits.tolist():
-                for tag in self._tags[lo + i]:
-                    seen.setdefault(tag)
-            return list(seen)
-        lo, hi = self._locate(start, stop)
-        seen = {}
-        for i in range(lo, hi):
-            if self._starts[i] < stop and start < self._stops[i]:
-                for tag in self._tags[i]:
-                    seen.setdefault(tag)
-        return list(seen)
+            starts.append(cursor)
+            stops.append(stop)
+            tags.append(single)
+        self._splice(lo, hi, start, stop, starts, stops, tags)
 
     def remove_range(self, start: int, stop: int) -> None:
-        """Forget readers of ``[start, stop)``, trimming partial overlaps.
+        """Forget every tag on ``[start, stop)``, trimming partial overlaps.
 
-        Called when an op overwrites a range: later writers only need a
-        write-after-write dependency on that op, which transitively orders
-        them after the pruned readers.
+        The builder calls it when an op overwrites a range: later writers
+        only need a write-after-write dependency on that op, which
+        transitively orders them after the pruned readers.
         """
-        if start >= stop or not self._starts:
-            return
-        self._np_dirty = True
-        lo, hi = self._locate(start, stop)
-        new_starts: list[int] = []
-        new_stops: list[int] = []
-        new_tags: list[frozenset[int]] = []
-        for i in range(lo, hi):
-            s, e, tags = self._starts[i], self._stops[i], self._tags[i]
-            if e <= start or s >= stop:
-                new_starts.append(s)
-                new_stops.append(e)
-                new_tags.append(tags)
-                continue
-            if s < start:
-                new_starts.append(s)
-                new_stops.append(start)
-                new_tags.append(tags)
-            if e > stop:
-                new_starts.append(stop)
-                new_stops.append(e)
-                new_tags.append(tags)
-        self._starts[lo:hi] = new_starts
-        self._stops[lo:hi] = new_stops
-        self._tags[lo:hi] = new_tags
+        if start < stop:
+            lo, hi = self._locate(start, stop)
+            self._splice(lo, hi, start, stop, [], [], [])
 
-    def clear(self) -> None:
-        self._starts.clear()
-        self._stops.clear()
-        self._tags.clear()
-        self._np_dirty = True
+    def tags_overlapping(self, start: int, stop: int) -> list[int]:
+        """Distinct op ids on any element of ``[start, stop)``, in entry
+        order, deduplicated by first occurrence."""
+        if start >= stop:
+            return []
+        lo, hi = self._locate(start, stop)
+        seen: dict[int, None] = {}
+        for tags in self._tags[lo:hi]:
+            for tag in tags:
+                seen[tag] = None
+        return list(seen)

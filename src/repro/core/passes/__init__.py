@@ -89,10 +89,16 @@ class LoweredProgram:
 class PassPipeline:
     """The ordered pass sequence lowering one program under one plan."""
 
-    def __init__(self, plan: OptimizationPlan, *, fuse: bool = False,
-                 dce: bool = False) -> None:
-        """Assemble the pipeline; ``fuse``/``dce`` enable the optional
-        post-bind optimization passes (they change pricing)."""
+    def __init__(self, plan: OptimizationPlan, *, optimize=()) -> None:
+        """Assemble the pipeline; ``optimize`` names optional post-bind
+        passes from :data:`OPTIMIZATION_PASSES` (``"fuse"``, ``"dce"``),
+        applied in the given order (they change pricing)."""
+        unknown = set(optimize) - set(OPTIMIZATION_PASSES)
+        if unknown:
+            raise ValueError(
+                f"unknown optimization pass(es) {sorted(unknown)}; "
+                f"available: {sorted(OPTIMIZATION_PASSES)}"
+            )
         self.plan = plan
         self.structural = [
             ExpandLogicPass(),
@@ -102,11 +108,7 @@ class PassPipeline:
             RingTreePass(),
         ]
         self.bind = BindPass()
-        self.optimizations = []
-        if fuse:
-            self.optimizations.append(FuseContiguousSendsPass())
-        if dce:
-            self.optimizations.append(DeadCopyEliminationPass())
+        self.optimizations = [OPTIMIZATION_PASSES[name]() for name in optimize]
 
     def run(self, program: Program) -> LoweredProgram:
         """Lower ``program``; returns the schedule with pass summaries."""
@@ -125,23 +127,8 @@ def lower_program(program: Program, plan: OptimizationPlan, *,
                   optimize=()) -> Schedule:
     """Lower ``program`` to a point-to-point schedule under ``plan``.
 
-    ``optimize`` names optional post-bind passes from
-    :data:`OPTIMIZATION_PASSES` (``"fuse"``, ``"dce"``), applied in the
-    given order.  The default (no optimizations) reproduces the historical
-    lowering's schedules exactly.
+    ``optimize`` names optional post-bind passes, as for
+    :class:`PassPipeline`.  The default (no optimizations) reproduces the
+    historical lowering's schedules exactly.
     """
-    flags = set(optimize)
-    unknown = flags - set(OPTIMIZATION_PASSES)
-    if unknown:
-        raise ValueError(
-            f"unknown optimization pass(es) {sorted(unknown)}; "
-            f"available: {sorted(OPTIMIZATION_PASSES)}"
-        )
-    pipeline = PassPipeline(
-        plan, fuse="fuse" in flags, dce="dce" in flags,
-    )
-    # Honor the caller's order for the optional passes.
-    pipeline.optimizations = [
-        OPTIMIZATION_PASSES[name]() for name in optimize
-    ]
-    return pipeline.run(program).schedule
+    return PassPipeline(plan, optimize=optimize).run(program).schedule

@@ -106,9 +106,7 @@ class DeadCopyEliminationPass:
             return reads is not None and bool(reads.tags_overlapping(lo, hi))
 
         def record_read(rank: int, buf: str, lo: int, hi: int) -> None:
-            live_reads.setdefault(
-                (rank, buf), IntervalSet(vectorized=False)
-            ).add(lo, hi, 0)
+            live_reads.setdefault((rank, buf), IntervalSet()).add(lo, hi, 0)
 
         alive: list[P2POp] = []
         removed = 0

@@ -544,32 +544,35 @@ class PlanCache:
             self._lru.clear()
 
     def clear_disk(self) -> int:
-        """Delete persisted plans of *any* schema version; returns the count.
-
-        Also sweeps ``*.tmp<pid>`` leftovers from interrupted stores and
-        legacy ``.pkl`` archives from schema v1.
-        """
-        if self.disk_dir is None or not self.disk_dir.exists():
-            return 0
+        """Delete every file of :meth:`disk_files`; returns the count."""
         removed = 0
         errors = 0
-        for pattern in ("v*-*.npz", "v*-*.pkl", "v*-*.tmp*"):
-            for path in self.disk_dir.glob(pattern):
-                try:
-                    path.unlink()
-                    removed += 1
-                except OSError:
-                    errors += 1
+        for path in self.disk_files():
+            try:
+                path.unlink()
+                removed += 1
+            except OSError:
+                errors += 1
         if errors:
             with self._lock:
                 self.stats.disk_errors += errors
         return removed
 
-    def disk_entries(self) -> list[Path]:
-        """Persisted plan files of the *current* schema version."""
+    def _glob_disk(self, *patterns: str) -> list[Path]:
         if self.disk_dir is None or not self.disk_dir.exists():
             return []
-        return sorted(self.disk_dir.glob(f"v{SCHEMA_VERSION}-*.npz"))
+        return sorted({p for pat in patterns for p in self.disk_dir.glob(pat)})
+
+    def disk_entries(self) -> list[Path]:
+        """Persisted plan files of the *current* schema version: the only
+        ones a lookup can load."""
+        return self._glob_disk(f"v{SCHEMA_VERSION}-*.npz")
+
+    def disk_files(self) -> list[Path]:
+        """Every file the persistent layer may have left: plans of *any*
+        schema version, legacy ``.pkl`` archives from schema v1, and
+        ``*.tmp<pid>`` leftovers from interrupted stores."""
+        return self._glob_disk("v*-*.npz", "v*-*.pkl", "v*-*.tmp*")
 
 
 # --------------------------------------------------------- process-wide cache

@@ -38,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import RaceConditionError, ScheduleError
-from .intervals import IntervalMap, IntervalSet
+from .intervals import IntervalSet
 from .ops import ReduceOp
 
 #: Location of data on a specific rank: (rank, buffer name, element offset).
@@ -526,10 +526,10 @@ class ScheduleBuilder:
         self._scratch_counter = 0
         self._num_channels = 1
         # Committed (pre-fence) state: most-recent writers and live readers.
-        self._writers: dict[tuple[int, str], IntervalMap] = {}
+        self._writers: dict[tuple[int, str], IntervalSet] = {}
         self._readers: dict[tuple[int, str], IntervalSet] = {}
         # Current-step state for the race check.
-        self._step_writers: dict[tuple[int, str], IntervalMap] = {}
+        self._step_writers: dict[tuple[int, str], IntervalSet] = {}
         self._step_readers: dict[tuple[int, str], IntervalSet] = {}
         self._step_start = 0
 
@@ -668,20 +668,17 @@ class ScheduleBuilder:
                         f"#{tag_uid} reads it concurrently in the same step"
                     )
 
-        # Record current-step footprint.  Step maps interleave a write and a
-        # query per emitted op, so they stay on the bisect path (vectorized
-        # columns would be rebuilt on every query); the committed maps above
-        # are query-only between fences and do use the numpy path.
+        # Record current-step footprint.
         for rank, buf, off, cnt in writes:
             self._step_writers.setdefault(
-                (rank, buf), IntervalMap(vectorized=False)
+                (rank, buf), IntervalSet()
             ).write(off, off + cnt, uid)
             step_readers = self._step_readers.get((rank, buf))
             if step_readers is not None:
                 step_readers.remove_range(off, off + cnt)
         for rank, buf, off, cnt in reads:
             self._step_readers.setdefault(
-                (rank, buf), IntervalSet(vectorized=False)
+                (rank, buf), IntervalSet()
             ).add(off, off + cnt, uid)
 
         cols = self._cols
@@ -727,7 +724,7 @@ class ScheduleBuilder:
             readers = self._readers.get(key)
             if readers is not None:
                 readers.remove_range(dst_off, dst_off + count)
-            self._writers.setdefault(key, IntervalMap()).write(
+            self._writers.setdefault(key, IntervalSet()).write(
                 dst_off, dst_off + count, uid
             )
             for rank, buf, off, cnt in reads:

@@ -35,7 +35,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 from ..bench.parallel import TaskPool
-from ..errors import FaultError, HicclError
+from ..errors import ExecutionError, FaultError, HicclError
 from .jobs import (
     SERVICE_PIPELINES,
     PlanTableTask,
@@ -262,8 +262,8 @@ class PlanService:
                 outcome = found.result()
         except HicclError:
             raise
-        except Exception as exc:  # pool failures surface as error frames
-            raise ProtocolError(f"planning failed: {exc}") from exc
+        except Exception as exc:  # a pool or planner crash, not a bad frame
+            raise ExecutionError(f"planning failed: {exc}") from exc
 
         if source == "coalesced":
             with self._lock:

@@ -3,39 +3,23 @@
 from __future__ import annotations
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.intervals import Interval, IntervalMap, IntervalSet
+from repro.core.intervals import IntervalSet
 
 
-class TestInterval:
-    def test_overlaps_basic(self):
-        iv = Interval(2, 5, tag=1)
-        assert iv.overlaps(4, 6)
-        assert iv.overlaps(0, 3)
-        assert iv.overlaps(3, 4)
+class TestIntervalSetWrite:
+    """``write`` keeps the most recent writer per element."""
 
-    def test_touching_does_not_overlap(self):
-        iv = Interval(2, 5, tag=1)
-        assert not iv.overlaps(5, 8)
-        assert not iv.overlaps(0, 2)
-
-    def test_empty_query_does_not_overlap(self):
-        iv = Interval(2, 5, tag=1)
-        assert not iv.overlaps(3, 3)
-
-
-class TestIntervalMap:
     def test_single_write_and_query(self):
-        m = IntervalMap()
+        m = IntervalSet()
         m.write(0, 10, tag=7)
         assert m.tags_overlapping(3, 5) == [7]
         assert m.tags_overlapping(10, 20) == []
 
     def test_overwrite_splits_interval(self):
-        m = IntervalMap()
+        m = IntervalSet()
         m.write(0, 10, tag=1)
         m.write(3, 6, tag=2)
         assert m.tags_overlapping(0, 3) == [1]
@@ -44,7 +28,7 @@ class TestIntervalMap:
         assert sorted(m.tags_overlapping(0, 10)) == [1, 2]
 
     def test_overwrite_spanning_multiple(self):
-        m = IntervalMap()
+        m = IntervalSet()
         m.write(0, 4, tag=1)
         m.write(6, 10, tag=2)
         m.write(2, 8, tag=3)
@@ -53,41 +37,25 @@ class TestIntervalMap:
         assert m.tags_overlapping(8, 10) == [2]
 
     def test_exact_replacement(self):
-        m = IntervalMap()
+        m = IntervalSet()
         m.write(2, 5, tag=1)
         m.write(2, 5, tag=2)
         assert m.tags_overlapping(2, 5) == [2]
         assert len(m) == 1
 
     def test_adjacent_writes_do_not_merge_tags(self):
-        m = IntervalMap()
+        m = IntervalSet()
         m.write(0, 5, tag=1)
         m.write(5, 10, tag=2)
         assert m.tags_overlapping(4, 6) == [1, 2]
 
     def test_empty_write_ignored(self):
-        m = IntervalMap()
+        m = IntervalSet()
         m.write(5, 5, tag=1)
         assert len(m) == 0
 
-    def test_covered(self):
-        m = IntervalMap()
-        m.write(0, 4, tag=1)
-        m.write(4, 8, tag=2)
-        assert m.covered(0, 8)
-        assert m.covered(2, 6)
-        assert not m.covered(0, 9)
-        assert not m.covered(-1, 3)
-
-    def test_covered_with_gap(self):
-        m = IntervalMap()
-        m.write(0, 3, tag=1)
-        m.write(5, 8, tag=2)
-        assert not m.covered(0, 8)
-        assert m.covered(5, 8)
-
     def test_many_disjoint_writes(self):
-        m = IntervalMap()
+        m = IntervalSet()
         for i in range(50):
             m.write(i * 10, i * 10 + 5, tag=i)
         assert len(m) == 50
@@ -105,7 +73,7 @@ class TestIntervalMap:
     )
     def test_matches_array_model(self, writes, query):
         """The map must behave exactly like writing tags into a flat array."""
-        m = IntervalMap()
+        m = IntervalSet()
         model = np.full(200, -1, dtype=np.int64)
         for start, length, tag in writes:
             m.write(start, start + length, tag)
@@ -124,12 +92,12 @@ class TestIntervalMap:
         )
     )
     def test_entries_stay_disjoint_and_sorted(self, writes):
-        m = IntervalMap()
+        m = IntervalSet()
         for tag, (start, length) in enumerate(writes):
             m.write(start, start + length, tag)
         entries = list(m)
-        for a, b in zip(entries, entries[1:]):
-            assert a.stop <= b.start
+        for (_, a_stop, _), (b_start, _, _) in zip(entries, entries[1:]):
+            assert a_stop <= b_start
 
 
 class TestIntervalSet:
@@ -165,12 +133,6 @@ class TestIntervalSet:
         s.add(5, 5, tag=1)
         assert len(s) == 0
 
-    def test_clear(self):
-        s = IntervalSet()
-        s.add(0, 5, tag=1)
-        s.clear()
-        assert s.tags_overlapping(0, 5) == []
-
     @settings(max_examples=150, deadline=None)
     @given(
         adds=st.lists(
@@ -198,3 +160,38 @@ class TestIntervalSet:
         qstart, qlen = query
         expected = set().union(*model[qstart : qstart + qlen]) if qlen else set()
         assert set(s.tags_overlapping(qstart, qstart + qlen)) == expected
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        ops=st.lists(
+            st.tuples(
+                st.sampled_from(("write", "add", "remove")),
+                st.integers(0, 80), st.integers(1, 20), st.integers(0, 5),
+            ),
+            max_size=30,
+        )
+    )
+    def test_interleaved_ops_match_set_model(self, ops):
+        """write/add/remove in any order match a per-element model, and the
+        entries stay disjoint, sorted and non-empty."""
+        s = IntervalSet()
+        model = [set() for _ in range(100)]
+        for kind, start, length, tag in ops:
+            stop = start + length
+            if kind == "write":
+                s.write(start, stop, tag)
+            elif kind == "add":
+                s.add(start, stop, tag)
+            else:
+                s.remove_range(start, stop)
+            for i in range(start, stop):
+                if kind != "add":
+                    model[i].clear()
+                if kind != "remove":
+                    model[i].add(tag)
+        for i, tags in enumerate(model):
+            assert set(s.tags_overlapping(i, i + 1)) == tags
+        entries = list(s)
+        assert all(start < stop and tags for start, stop, tags in entries)
+        for (_, a_stop, _), (b_start, _, _) in zip(entries, entries[1:]):
+            assert a_stop <= b_start

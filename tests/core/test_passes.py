@@ -22,7 +22,7 @@ import pytest
 from repro.core import plancache
 from repro.core.communicator import Communicator
 from repro.core.ops import ReduceOp
-from repro.core.passes import PassPipeline, lower_program
+from repro.core.passes import OPTIMIZATION_PASSES, PassPipeline, lower_program
 from repro.core.passes import pipelining
 from repro.core.plan import OptimizationPlan
 from repro.core.schedule import Schedule, ScheduleBuilder
@@ -157,7 +157,11 @@ class TestSemanticsPreserved:
         ) == sorted(sorted(v.items()) for v in slow.scratch.values())
 
     @pytest.mark.parametrize("machine", MACHINES, ids=lambda m: m.name)
-    def test_pass_summaries_cover_every_stage(self, machine):
+    @pytest.mark.parametrize("optimize", [("fuse", "dce"), ("dce", "fuse")],
+                             ids="-".join)
+    def test_pass_summaries_cover_every_stage(self, machine, optimize):
+        """Every pass reports a summary, the optional ones in the given
+        order."""
         comm = Communicator(machine, materialize=False)
         send = comm.alloc(64, "sendbuf")
         recv = comm.alloc(64, "recvbuf")
@@ -166,13 +170,12 @@ class TestSemanticsPreserved:
             machine, [machine.nodes, machine.gpus_per_node],
             [Library.MPI, Library.IPC], stripe=2, pipeline=4,
         )
-        result = PassPipeline(plan, fuse=True, dce=True).run(comm.program)
+        result = PassPipeline(plan, optimize=optimize).run(comm.program)
         names = [s["pass"] for s in result.summaries]
         assert names == [
             "expand-logic", "hierarchy", "pipelining", "striping",
-            "ring-tree", "channel-binding", "fuse-contiguous",
-            "dead-copy-elim",
-        ]
+            "ring-tree", "channel-binding",
+        ] + [OPTIMIZATION_PASSES[name].name for name in optimize]
         bind = result.summaries[5]
         assert bind["ops"] == len(result.schedule) or bind["ops"] >= len(
             result.schedule)  # opt passes may shrink the final schedule

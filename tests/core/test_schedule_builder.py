@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
+from collections import defaultdict
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.ops import ReduceOp
 from repro.core.schedule import P2POp, Schedule, ScheduleBuilder
@@ -155,6 +159,94 @@ class TestRaceDetection:
         b.send(0, 2, ("s", 0), ("b", 0), 8, level=0)
         b.send(0, 3, ("s", 0), ("c", 0), 8, level=0)
         assert len(b.build()) == 3
+
+
+#: Elements per (rank, buffer) in the generated programs.
+MODEL_ELEMENTS = 12
+
+
+@st.composite
+def _fenced_programs(draw):
+    """A world size and a list of (op, fence_after) over buffers a and b.
+
+    Each op is ``(src, dst, src_loc, dst_loc, count, reduce)``; ``src ==
+    dst`` makes it a local copy, otherwise a send.
+    """
+    world = draw(st.integers(2, 3))
+    program = []
+    for _ in range(draw(st.integers(1, 12))):
+        src = draw(st.integers(0, world - 1))
+        local = draw(st.booleans())
+        dst = src if local else (src + draw(st.integers(1, world - 1))) % world
+        count = draw(st.integers(1, 6))
+        src_loc = (draw(st.sampled_from("ab")),
+                   draw(st.integers(0, MODEL_ELEMENTS - count)))
+        dst_loc = (draw(st.sampled_from("ab")),
+                   draw(st.integers(0, MODEL_ELEMENTS - count)))
+        op = (src, dst, src_loc, dst_loc, count, draw(st.booleans()))
+        program.append((op, draw(st.booleans())))
+    return world, program
+
+
+class TestDependencyModel:
+    @settings(max_examples=200, deadline=None)
+    @given(_fenced_programs())
+    def test_deps_match_per_element_model(self, world_program):
+        """Every dependency row equals a per-element model's set: the last
+        committed writer of each element the op touches, plus, for the
+        elements it writes, the committed readers since that write.
+
+        Ops within a step touch disjoint elements (a fence is forced before
+        an op that would overlap its step), so no step races.
+        """
+        world, program = world_program
+        b = ScheduleBuilder(world)
+        writer: dict[tuple, int] = {}
+        readers: dict[tuple, set[int]] = defaultdict(set)
+        step: list[tuple] = []  # (uid, reads, writes) of the open step
+        step_touched: set[tuple] = set()
+        expected: list[set[int]] = []
+
+        def elements(rank, loc, count):
+            buf, off = loc
+            return [(rank, buf, i) for i in range(off, off + count)]
+
+        def commit():
+            # end_step order, op by op: drop the destination's readers,
+            # record the write, then add the op's reads.
+            for uid, reads, writes in step:
+                for key in writes:
+                    readers[key].clear()
+                    writer[key] = uid
+                for key in reads:
+                    readers[key].add(uid)
+            step.clear()
+            step_touched.clear()
+            b.end_step()
+
+        for (src, dst, src_loc, dst_loc, count, reduce), fence in program:
+            writes = elements(dst, dst_loc, count)
+            reads = elements(src, src_loc, count) + (writes if reduce else [])
+            touched = set(reads) | set(writes)
+            if touched & step_touched:
+                commit()
+            deps = {writer[k] for k in touched if k in writer}
+            deps.update(u for k in writes for u in readers[k])
+            expected.append(deps)
+            reduce_op = ReduceOp.SUM if reduce else None
+            if src == dst:
+                uid = b.copy(src, src_loc, dst_loc, count, reduce_op=reduce_op)
+            else:
+                uid = b.send(src, dst, src_loc, dst_loc, count, level=0,
+                             reduce_op=reduce_op)
+            step.append((uid, reads, writes))
+            step_touched |= touched
+            if fence:
+                commit()
+        sched = b.build()
+        for uid, deps in enumerate(expected):
+            lo, hi = sched.dep_indptr[uid], sched.dep_indptr[uid + 1]
+            assert sched.dep_indices[lo:hi].tolist() == sorted(deps)
 
 
 class TestScheduleValidation:

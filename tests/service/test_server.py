@@ -443,7 +443,7 @@ def test_failed_plan_fails_every_waiter_and_retires_key(service):
 
     for response in responses.values():
         assert response["status"] == "error"
-        assert response["error"] == "ProtocolError"
+        assert response["error"] == "ExecutionError"
         assert "boom" in response["message"]
     assert service.stats.errors == n
     assert service.stats.planned == service.stats.coalesced == 0

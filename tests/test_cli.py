@@ -182,6 +182,33 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "plan cache" in out and "disk layer" in out
 
+    def test_cache_counts_loadable_plans_and_stale_files(
+            self, tmp_path, monkeypatch, capsys):
+        """Both modes count only current-schema plans, the files a lookup
+        can load; other schemas are stale files that ``--clear`` removes."""
+        import json
+
+        from repro.core import plancache
+
+        current = f"v{plancache.SCHEMA_VERSION}-a.npz"
+        for name in (current, "v1-b.npz", "v1-c.pkl"):
+            (tmp_path / name).write_bytes(b"x" * 10)
+        monkeypatch.setenv(plancache.ENV_CACHE_DIR, str(tmp_path))
+        plancache.configure(disk_dir=None)
+        try:
+            assert main(["cache"]) == 0
+            out = capsys.readouterr().out
+            assert "1 persisted plan(s)" in out
+            assert "2 stale file(s)" in out
+            assert main(["cache", "--json"]) == 0
+            disk = json.loads(capsys.readouterr().out)["disk"]
+            assert (disk["entries"], disk["bytes"], disk["stale"]) == (1, 10, 2)
+            assert main(["cache", "--clear"]) == 0
+            assert "3 persisted file(s) removed" in capsys.readouterr().out
+            assert list(tmp_path.iterdir()) == []
+        finally:
+            plancache.reset()
+
     def test_unknown_system_errors(self):
         with pytest.raises(KeyError):
             main(["bounds", "--system", "summit"])

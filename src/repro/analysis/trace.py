@@ -32,8 +32,10 @@ def workload_trace(workload, engine: str = "auto") -> dict:
     list) — callers serialize it with ``json.dump`` and load the file into
     ``chrome://tracing`` or https://ui.perfetto.dev.
     """
+    import numpy as np
+
     from ..simulator.engine import simulate_workload
-    from ..simulator.timing import price_schedule
+    from ..simulator.timing import price_schedule_columns
 
     machine = workload.machine
     specs = workload.job_specs()
@@ -60,8 +62,12 @@ def workload_trace(workload, engine: str = "auto") -> dict:
         label = job.name or f"job{j}"
         meta.append({"ph": "M", "pid": JOBS_PID, "tid": j,
                      "name": "thread_name", "args": {"name": label}})
-        priced = price_schedule(spec.schedule, machine, spec.libraries,
-                                spec.elem_bytes)
+        cols = price_schedule_columns(spec.schedule, machine,
+                                      spec.libraries, spec.elem_bytes)
+        booked = cols.res_id.tolist()
+        occupancy = (cols.overhead()[:, None] + cols.res_dur).tolist()
+        tid_of = {rid: resource_tids.get(cols.resource_key(rid))
+                  for rid in np.unique(cols.res_id[cols.res_id >= 0]).tolist()}
         ops = list(spec.schedule.ops)
         for uid, op in enumerate(ops):
             start = job.op_start_times[uid]
@@ -74,12 +80,10 @@ def workload_trace(workload, engine: str = "auto") -> dict:
                 "args": {"job": label, "uid": uid, "src": op.src,
                          "dst": op.dst, "count": op.count},
             })
-            cost = priced[uid]
-            for key, dur in cost.resources:
-                tid = resource_tids.get(key)
+            for rid, busy in zip(booked[uid], occupancy[uid]):
+                tid = tid_of.get(rid)  # None for an unused slot
                 if tid is None:
                     continue
-                busy = cost.overhead + dur
                 bookings.setdefault(tid, []).append(
                     (start * 1e6, (start + busy) * 1e6,
                      f"{label}:{name}", label, uid))

@@ -307,7 +307,11 @@ def cmd_cache(args) -> int:
                 "bytes": size,
                 "stale": stale,
             },
+            "cleared": 0,
         }
+        if args.clear:
+            doc["cleared"] = disk.clear_disk()
+            cache.clear()
         print(_json.dumps(doc, indent=2, sort_keys=True))
         return 0
     print(f"plan cache (schema v{SCHEMA_VERSION})")

@@ -307,21 +307,9 @@ class Schedule:
         return total
 
     def dependents_csr(self) -> tuple[np.ndarray, np.ndarray]:
-        """Forward (dependents) CSR derived from the stored backward deps.
-
-        Returns ``(indptr, indices)`` where ``indices[indptr[u]:indptr[u+1]]``
-        lists the ops that depend on ``u``, each row sorted ascending.  This
-        is the adjacency direction frontier peeling consumes.
-        """
-        n = len(self)
-        counts = np.bincount(self.dep_indices, minlength=n)
-        indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(counts, out=indptr[1:])
-        owners = np.repeat(
-            np.arange(n, dtype=np.int64), np.diff(self.dep_indptr)
-        )
-        order = np.argsort(self.dep_indices, kind="stable")
-        return indptr, owners[order]
+        """Forward (dependents) CSR derived from the stored backward deps
+        (see :func:`dependents_csr`)."""
+        return dependents_csr(self.dep_indptr, self.dep_indices)
 
     def dep_levels(self, max_depth: int | None = None
                    ) -> tuple[np.ndarray, int] | None:
@@ -453,6 +441,23 @@ def _gather_rows(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
         - np.repeat(excl, counts)
         + np.repeat(starts, counts)
     )
+
+
+def dependents_csr(dep_indptr: np.ndarray, dep_indices: np.ndarray
+                   ) -> tuple[np.ndarray, np.ndarray]:
+    """Forward (dependents) CSR of a backward-dependency CSR.
+
+    Returns ``(indptr, indices)`` where ``indices[indptr[u]:indptr[u+1]]``
+    lists the nodes that depend on ``u``, each row sorted ascending.  This
+    is the adjacency direction frontier peeling and the event loop consume.
+    """
+    n = dep_indptr.shape[0] - 1
+    counts = np.bincount(dep_indices, minlength=n)
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(counts, out=indptr[1:])
+    owners = np.repeat(np.arange(n, dtype=np.int64), np.diff(dep_indptr))
+    order = np.argsort(dep_indices, kind="stable")
+    return indptr, owners[order]
 
 
 def toposort_levels(

@@ -18,8 +18,12 @@ an idle link is never held hostage by a blocked higher-priority op — while
 every wake-up is O(1) amortized, so large schedules (hundreds of thousands
 of ops) price in seconds.
 
-The scheduler is deterministic (ties broken by uid), so repeated measurement
-rounds of a memoized schedule return identical times.
+The scheduler is deterministic — equal upward ranks break ties by uid, and
+resources freeing at the same instant are offered in resource-key tuple
+order — so repeated measurement rounds of a memoized schedule return
+identical times.  The loop runs over one
+:class:`~repro.simulator.timing.PricedColumns` (each op priced once, resources
+renumbered to dense ints in key order) rather than per-op objects.
 
 Two entry points share one event loop:
 
@@ -41,15 +45,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..core.schedule import Schedule
+from ..core.schedule import Schedule, dependents_csr
 from ..errors import ExecutionError
 from ..machine.faults import resource_rate
 from ..machine.spec import MachineSpec
 from ..transport.library import Library
 from .level import (LEVEL_MIN_OPS, attempt_level, graph_leveling,
                     schedule_leveling)
-from .timing import (PricedOp, columns_from_priced, price_schedule,
-                     price_schedule_columns)
+from .timing import PricedColumns, ResourceKey, price_schedule_columns
 
 #: Engine selectors accepted by :func:`simulate` / :func:`simulate_workload`.
 #: ``auto`` tries the levelized fast path on graphs worth the setup and
@@ -63,13 +66,6 @@ def _check_engine(engine: str) -> None:
         raise ExecutionError(
             f"unknown engine {engine!r}; choose one of {ENGINES}"
         )
-
-#: Event kinds, ordered so resource-free events at time T are handled before
-#: op-ready events at the same T (freshly freed links are offered to parked
-#: high-priority ops before newly-ready ones are considered).
-_RES_FREED = 0
-_OP_READY = 1
-
 
 def rank_resources(by_resource: dict[tuple, float], n: int) -> list[tuple[tuple, float]]:
     """The ``n`` highest-valued resources of an occupancy map, busiest first.
@@ -127,17 +123,60 @@ class TimingResult:
         return busy_gigabytes(self.resource_busy, machine)
 
 
-def compute_upward_ranks(priced: list[PricedOp], dependents: list[list[int]]) -> list[float]:
-    """Critical-path time from each op to the sink (HEFT-style urgency)."""
-    upward = [0.0] * len(priced)
-    for uid in range(len(priced) - 1, -1, -1):
-        tail = max((upward[d] for d in dependents[uid]), default=0.0)
-        upward[uid] = priced[uid].total_time + tail
+def _resource_slots(cols: PricedColumns
+                    ) -> tuple[list[ResourceKey], np.ndarray, list, list]:
+    """Dense resource ids and per-op booking tuples of one priced graph.
+
+    Ids are ranks in sorted resource-key tuple order, so simultaneous
+    resource-free events pop in key order whatever encoding ``cols`` uses.
+    Returns ``(keys, dense, rids, occs)``: ``keys[r]`` is the tuple key of
+    id ``r``, ``dense`` the ``(n, s)`` id grid (``-1`` in unused slots), and
+    ``rids[uid]``/``occs[uid]`` tuples of the op's ids and occupancies
+    (``overhead + dur``) in slot order.
+    """
+    valid = cols.res_id >= 0
+    ids, inverse = np.unique(cols.res_id[valid], return_inverse=True)
+    found = [cols.resource_key(r) for r in ids.tolist()]
+    order = sorted(range(len(found)), key=found.__getitem__)
+    rank = np.empty(len(found), dtype=np.int64)
+    rank[order] = np.arange(len(found), dtype=np.int64)
+    dense = np.full(cols.res_id.shape, -1, dtype=np.int64)
+    dense[valid] = rank[inverse]
+    occ = cols.overhead()[:, None] + cols.res_dur
+
+    n = len(cols)
+    rids: list = [()] * n
+    occs: list = [()] * n
+    width = valid.sum(axis=1)
+    for w in np.unique(width).tolist():
+        if not w:
+            continue  # gates book nothing
+        rows = np.flatnonzero(width == w)
+        for uid, r, o in zip(rows.tolist(),
+                             zip(*dense[rows, :w].T.tolist()),
+                             zip(*occ[rows, :w].T.tolist())):
+            rids[uid] = r
+            occs[uid] = o
+    return [found[i] for i in order], dense, rids, occs
+
+
+def _upward_ranks(total: list[float], dependents: list[list[int]]
+                  ) -> list[float]:
+    """Critical-path time from each op to the sink (HEFT-style urgency).
+
+    ``total[uid]`` is the op's ``(alpha + transfer) + gamma``; dependents
+    always carry larger uids, so one reverse sweep settles every rank.
+    """
+    upward = list(total)
+    for uid in range(len(total) - 1, -1, -1):
+        nxt = dependents[uid]
+        if nxt:
+            upward[uid] = total[uid] + max([upward[d] for d in nxt])
     return upward
 
 
 def _run_graph(
-    priced: list[PricedOp],
+    cols: PricedColumns,
     dependents: list[list[int]],
     indegree: list[int],
     ready_time: list[float],
@@ -150,108 +189,125 @@ def _run_graph(
     The arrays are shared state between both public entry points; mutating
     ``indegree``/``ready_time`` in place is intentional.
 
-    Returns ``(start_times, completion_times, resource_busy, done_count)``;
+    Returns ``(start_times, completion_times, resource_busy, done_count)``
+    with ``resource_busy`` keyed by resource tuple in first-booking order;
     the caller is responsible for diagnosing ``done_count`` mismatches.
     """
-    n = len(priced)
-    upward = compute_upward_ranks(priced, dependents)
+    n = len(cols)
+    keys, dense, rids, occs = _resource_slots(cols)
+    transfer_a = cols.transfer_time()
+    upward = _upward_ranks(
+        ((cols.alpha + transfer_a) + cols.gamma).tolist(), dependents)
+    alpha = cols.alpha.tolist()
+    transfer = transfer_a.tolist()
+    gamma = cols.gamma.tolist()
+    # Op priorities as ints: rank in (-upward, uid) order, so longer
+    # remaining chains win and equal ranks break ties by uid.
+    by_prio_a = np.lexsort((np.arange(n), -np.asarray(upward)))
+    prio_a = np.empty(n, dtype=np.int64)
+    prio_a[by_prio_a] = np.arange(n)
+    by_prio = by_prio_a.tolist()
 
-    free_at: dict[tuple, float] = {}
-    busy: dict[tuple, float] = {}
+    nres = len(keys)
+    free_at = [0.0] * nres
+    busy = [0.0] * nres
+    # Parked ops per resource (priorities): each waits for it to free.
+    parked: list[list[int]] = [[] for _ in keys]
     start_times = [0.0] * n
     completion = [0.0] * n
-    done = 0
-
-    # Parked ops per resource: the op is waiting for this resource to free.
-    parked: dict[tuple, list[tuple[float, int]]] = {}
-    # Global event heap: (time, kind, priority, payload).
-    events: list[tuple[float, int, float, object]] = [
-        (ready_time[uid], _OP_READY, -upward[uid], uid)
+    booked: list[int] = []  # uids in booking order
+    # Global event heap of (time, code): a code below ``nres`` is that
+    # resource freeing, ``nres + prio`` that op becoming ready.  Frees at
+    # one instant therefore pop before readies, in resource-key order
+    # (freshly freed links are offered to parked high-priority ops before
+    # newly-ready ones are considered), and readies in priority order.
+    ready_code = (prio_a + nres).tolist()
+    events: list[tuple[float, int]] = [
+        (ready_time[uid], ready_code[uid])
         for uid in range(n)
         if indegree[uid] == 0
     ]
     heapq.heapify(events)
+    push = heapq.heappush
+    pop = heapq.heappop
 
-    def try_start(uid: int, now: float) -> bool:
-        """Book the op if all its resources are free; else park it."""
-        nonlocal done
-        cost = priced[uid]
-        blocker = None
-        blocker_free = now
-        for key, _dur in cost.resources:
-            t_free = free_at.get(key, 0.0)
-            if t_free > now and t_free > blocker_free:
-                blocker, blocker_free = key, t_free
-        if blocker is not None:
-            heapq.heappush(parked.setdefault(blocker, []), (-upward[uid], uid))
-            return False
-        finish = now + cost.alpha + cost.transfer_time + cost.gamma
-        for key, dur in cost.resources:
-            occupied = cost.overhead + dur
-            free_at[key] = now + occupied
-            busy[key] = busy.get(key, 0.0) + occupied
-            heapq.heappush(events, (now + occupied, _RES_FREED, 0.0, key))
+    def book(uid: int, now: float) -> None:
+        """Start the op now: occupy its resources, release its dependents."""
+        for r, occupied in zip(rids[uid], occs[uid]):
+            t = now + occupied
+            free_at[r] = t
+            busy[r] += occupied
+            push(events, (t, r))
+        finish = ((now + alpha[uid]) + transfer[uid]) + gamma[uid]
         start_times[uid] = now
         completion[uid] = finish
-        done += 1
+        booked.append(uid)
         for nxt in dependents[uid]:
-            ready_time[nxt] = max(ready_time[nxt], finish)
+            if finish > ready_time[nxt]:
+                ready_time[nxt] = finish
             indegree[nxt] -= 1
             if indegree[nxt] == 0:
-                heapq.heappush(
-                    events, (ready_time[nxt], _OP_READY, -upward[nxt], nxt)
-                )
-        return True
+                push(events, (ready_time[nxt], ready_code[nxt]))
 
     while events:
-        now, kind, _prio, payload = heapq.heappop(events)
-        if kind == _OP_READY:
-            try_start(payload, now)  # parks itself if blocked
+        now, code = pop(events)
+        if code >= nres:
+            # An op became ready: book it if all its resources are free,
+            # else park it on the resource that frees last.
+            p = code - nres
+            uid = by_prio[p]
+            blocker = -1
+            blocker_free = now
+            for r in rids[uid]:
+                t_free = free_at[r]
+                if t_free > blocker_free:
+                    blocker, blocker_free = r, t_free
+            if blocker < 0:
+                book(uid, now)
+            else:
+                push(parked[blocker], p)
             continue
         # A resource freed: offer it (and anything else now free) to parked
         # ops in priority order until it is busy again or the queue empties.
-        queue = parked.get(payload)
+        queue = parked[code]
         while queue:
-            _neg, uid = queue[0]
-            cost = priced[uid]
-            startable = True
-            migrate_to = None
+            p = pop(queue)
+            uid = by_prio[p]
+            migrate_to = -1
             migrate_free = now
-            for key, _dur in cost.resources:
-                t_free = free_at.get(key, 0.0)
-                if t_free > now:
-                    startable = False
-                    if t_free > migrate_free:
-                        migrate_to, migrate_free = key, t_free
-            heapq.heappop(queue)
-            if startable:
-                try_start(uid, now)
+            for r in rids[uid]:
+                t_free = free_at[r]
+                if t_free > migrate_free:
+                    migrate_to, migrate_free = r, t_free
+            if migrate_to < 0:
+                book(uid, now)
                 # The booking re-busied this resource; further parked ops
                 # must wait for its next free event.
-                if free_at.get(payload, 0.0) > now:
+                if free_at[code] > now:
                     break
             else:
                 # Blocked on a different resource now; migrate the parking.
-                heapq.heappush(
-                    parked.setdefault(migrate_to, []), (-upward[uid], uid)
-                )
-                if migrate_to == payload:
+                push(parked[migrate_to], p)
+                if migrate_to == code:
                     break  # it re-parked here; this resource is busy again
 
-    return start_times, completion, busy, done
+    # Insert busy totals in first-booking order, as a dict built during
+    # the loop would have: resources of each booked op in slot order.
+    flat = dense[np.asarray(booked, dtype=np.int64)].reshape(-1)
+    flat = flat[flat >= 0]
+    _, first = np.unique(flat, return_index=True)
+    busy_by_key = {keys[r]: busy[r] for r in flat[np.sort(first)].tolist()}
+    return start_times, completion, busy_by_key, len(booked)
 
 
-def _graph_arrays(schedule: Schedule) -> tuple[list[int], list[list[int]]]:
-    """Indegree and dependents arrays from a schedule's CSR columns."""
-    n = len(schedule)
-    indegree = np.diff(schedule.dep_indptr).tolist()
-    dependents: list[list[int]] = [[] for _ in range(n)]
-    owners = np.repeat(
-        np.arange(n, dtype=np.int64), np.diff(schedule.dep_indptr)
-    ).tolist()
-    for dep, owner in zip(schedule.dep_indices.tolist(), owners):
-        dependents[dep].append(owner)
-    return indegree, dependents
+def _dependents(dep_indptr: np.ndarray, dep_indices: np.ndarray
+                ) -> tuple[list[int], list[list[int]]]:
+    """Indegree and dependents lists of a backward-dependency CSR."""
+    indptr, indices = dependents_csr(dep_indptr, dep_indices)
+    fwd = indices.tolist()
+    b = indptr.tolist()
+    return (np.diff(dep_indptr).tolist(),
+            [fwd[b[u]:b[u + 1]] for u in range(len(b) - 1)])
 
 
 def simulate(
@@ -274,8 +330,8 @@ def simulate(
     if not n:
         return TimingResult(0.0, [], [], {})
 
+    cols = price_schedule_columns(schedule, machine, libraries, elem_bytes)
     if engine == "level" or (engine == "auto" and n >= LEVEL_MIN_OPS):
-        cols = price_schedule_columns(schedule, machine, libraries, elem_bytes)
         solved = attempt_level(cols, schedule.dep_indptr, schedule.dep_indices,
                                schedule_leveling(schedule))
         if solved is not None:
@@ -288,11 +344,10 @@ def simulate(
                 engine="level",
             )
 
-    priced: list[PricedOp] = price_schedule(schedule, machine, libraries,
-                                            elem_bytes)
-    indegree, dependents = _graph_arrays(schedule)
+    indegree, dependents = _dependents(schedule.dep_indptr,
+                                       schedule.dep_indices)
     start_times, completion, busy, done = _run_graph(
-        priced, dependents, indegree, [0.0] * n
+        cols, dependents, indegree, [0.0] * n
     )
     if done != n:
         raise ExecutionError(
@@ -308,8 +363,11 @@ def simulate(
 
 
 # ------------------------------------------------------- concurrent workloads
-#: Virtual graph node (job entry/exit gate): occupies nothing, takes no time.
-_VIRTUAL_OP = PricedOp((), 0.0, 0.0)
+#: Virtual graph node (job entry/exit gate): an empty-slot row of the
+#: merged columns, which occupies nothing and takes no time.
+_GATE = PricedColumns(alpha=np.zeros(1), gamma=np.zeros(1),
+                      res_id=np.full((1, 4), -1, dtype=np.int64),
+                      res_dur=np.zeros((1, 4)))
 
 
 @dataclass(frozen=True)
@@ -407,26 +465,12 @@ def simulate_workload(jobs, machine: MachineSpec,
     if not jobs:
         return WorkloadTimingResult(0.0, [], {})
 
-    priced: list[PricedOp] = []
-    dep_rows: list[tuple] = []
-    dependents: list[list[int]] = []
-    indegree: list[int] = []
+    blocks: list[PricedColumns] = []
+    dep_counts: list[np.ndarray] = []
+    dep_lists: list[np.ndarray] = []
     ready: list[float] = []
-
-    def push(cost: PricedOp, deps, t0: float = 0.0) -> int:
-        uid = len(priced)
-        priced.append(cost)
-        dep_rows.append(deps)
-        dependents.append([])
-        indegree.append(len(deps))
-        ready.append(t0)
-        for dep in deps:
-            dependents[dep].append(uid)
-        return uid
-
     entry_idx: list[int] = []
     exit_idx: list[int] = []
-    spans: list[tuple[int, int]] = []
     for j, job in enumerate(jobs):
         label = job.name or f"job{j}"
         if job.offset < 0:
@@ -445,62 +489,76 @@ def simulate_workload(jobs, machine: MachineSpec,
             )
         sched = job.schedule
         nops = len(sched)
-        entry = push(
-            _VIRTUAL_OP, tuple(exit_idx[k] for k in job.after), job.offset
-        )
-        base = len(priced)
-        job_priced = price_schedule(sched, machine, job.libraries,
-                                    job.elem_bytes)
-        indptr = sched.dep_indptr.tolist()
-        indices = sched.dep_indices.tolist()
-        is_sink = [True] * nops
-        for dep in indices:
-            is_sink[dep] = False
-        for uid in range(nops):
-            deps = tuple(
-                base + d for d in indices[indptr[uid]:indptr[uid + 1]]
-            ) or (entry,)
-            push(job_priced[uid], deps)
-        sinks = [base + i for i, s in enumerate(is_sink) if s] or [entry]
-        exit_ = push(_VIRTUAL_OP, tuple(sinks))
+        entry = len(ready)
+        base = entry + 1
+        # Entry gate: waits on the exit gates of the jobs named in `after`.
+        dep_counts.append(np.array([len(job.after)]))
+        dep_lists.append(np.array([exit_idx[k] for k in job.after],
+                                  dtype=np.int64))
+        # Job ops: their own deps shifted by `base`; roots wait on the entry.
+        counts = np.diff(sched.dep_indptr)
+        roots = counts == 0
+        dep_counts.append(np.where(roots, 1, counts))
+        dep_lists.append(np.insert(
+            sched.dep_indices.astype(np.int64) + base,
+            sched.dep_indptr[:-1][roots], entry))
+        # Exit gate: joins the job's sinks (the entry, for an empty job).
+        sinks = np.flatnonzero(
+            np.bincount(sched.dep_indices, minlength=nops) == 0) + base
+        if not sinks.size:
+            sinks = np.array([entry])
+        dep_counts.append(np.array([sinks.size]))
+        dep_lists.append(sinks)
+        blocks += [_GATE, price_schedule_columns(sched, machine, job.libraries,
+                                                 job.elem_bytes), _GATE]
+        ready += [job.offset] + [0.0] * (nops + 1)
         entry_idx.append(entry)
-        exit_idx.append(exit_)
-        spans.append((base, base + nops))
+        exit_idx.append(base + nops)
+
+    cols = PricedColumns(
+        alpha=np.concatenate([b.alpha for b in blocks]),
+        gamma=np.concatenate([b.gamma for b in blocks]),
+        res_id=np.concatenate([b.res_id for b in blocks]),
+        res_dur=np.concatenate([b.res_dur for b in blocks]),
+    )
+    nodes = len(ready)
+    dep_indptr = np.zeros(nodes + 1, dtype=np.int64)
+    np.cumsum(np.concatenate(dep_counts), out=dep_indptr[1:])
+    dep_indices = np.concatenate(dep_lists)
 
     engine_used = "event"
     solved = None
-    if engine == "level" or (engine == "auto" and len(priced) >= LEVEL_MIN_OPS):
-        cols = columns_from_priced(priced)
-        if cols is not None:
-            indptr, indices, leveling = graph_leveling(dep_rows, len(priced))
-            if leveling is not None:
-                solved = attempt_level(cols, indptr, indices, leveling,
-                                       ready=np.asarray(ready))
+    if engine == "level" or (engine == "auto" and nodes >= LEVEL_MIN_OPS):
+        leveling = graph_leveling(dep_indptr, dep_indices)
+        if leveling is not None:
+            solved = attempt_level(cols, dep_indptr, dep_indices, leveling,
+                                   ready=np.asarray(ready))
     if solved is not None:
         start_a, completion_a, busy = solved
         start = start_a.tolist()
         completion = completion_a.tolist()
         engine_used = "level"
     else:
+        indegree, dependents = _dependents(dep_indptr, dep_indices)
         start, completion, busy, done = _run_graph(
-            priced, dependents, indegree, ready
+            cols, dependents, indegree, ready
         )
-        if done != len(priced):
+        if done != nodes:
             raise ExecutionError(
-                f"dependency deadlock: only {done}/{len(priced)} workload "
+                f"dependency deadlock: only {done}/{nodes} workload "
                 "nodes executed"
             )
 
-    timings = []
-    for j, job in enumerate(jobs):
-        lo, hi = spans[j]
-        timings.append(JobTiming(
+    timings = [
+        JobTiming(
             name=job.name or f"job{j}",
-            start=start[entry_idx[j]],
-            finish=completion[exit_idx[j]],
-            op_start_times=start[lo:hi],
-            op_completion_times=completion[lo:hi],
-        ))
+            start=start[entry],
+            finish=completion[exit_],
+            op_start_times=start[entry + 1:exit_],
+            op_completion_times=completion[entry + 1:exit_],
+        )
+        for j, (job, entry, exit_) in enumerate(zip(jobs, entry_idx, exit_idx))
+    ]
     return WorkloadTimingResult(
         makespan=max(t.finish for t in timings),
         jobs=timings,

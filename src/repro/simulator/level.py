@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..core.schedule import toposort_levels
+from ..core.schedule import dependents_csr, toposort_levels
 from .timing import PricedColumns, booking_columns, bookings_at
 
 #: Below this op count the event loop is already fast and the leveling
@@ -164,24 +164,14 @@ def schedule_leveling(schedule) -> tuple[np.ndarray, int] | None:
     return schedule.dep_levels(LEVEL_MAX_DEPTH)
 
 
-def graph_leveling(dep_rows: list, num_ops: int
-                   ) -> tuple[np.ndarray, np.ndarray, tuple | None]:
-    """CSR + leveling for an ad-hoc dependency-row graph (workload merges).
+def graph_leveling(dep_indptr: np.ndarray, dep_indices: np.ndarray
+                   ) -> tuple[np.ndarray, int] | None:
+    """Leveling of an ad-hoc backward-dependency CSR (workload merges).
 
-    ``dep_rows[i]`` lists the predecessors of node ``i`` (indices < i).
-    Returns ``(dep_indptr, dep_indices, leveling)`` where ``leveling``
-    follows the :func:`toposort_levels` contract.
+    ``dep_indices[dep_indptr[i]:dep_indptr[i + 1]]`` lists the predecessors
+    of node ``i``; the result follows the :func:`toposort_levels` contract
+    under the engine's depth cap.
     """
-    lens = np.fromiter((len(d) for d in dep_rows), np.int64, num_ops)
-    indptr = np.zeros(num_ops + 1, dtype=np.int64)
-    np.cumsum(lens, out=indptr[1:])
-    indices = np.fromiter(
-        (d for deps in dep_rows for d in deps), np.int64, int(indptr[-1]))
-    counts = np.bincount(indices, minlength=num_ops)
-    dpt_indptr = np.zeros(num_ops + 1, dtype=np.int64)
-    np.cumsum(counts, out=dpt_indptr[1:])
-    owners = np.repeat(np.arange(num_ops, dtype=np.int64), lens)
-    dpt_indices = owners[np.argsort(indices, kind="stable")]
-    leveling = toposort_levels(lens, dpt_indptr, dpt_indices, num_ops,
-                               max_depth=LEVEL_MAX_DEPTH)
-    return indptr, indices, leveling
+    dpt_indptr, dpt_indices = dependents_csr(dep_indptr, dep_indices)
+    return toposort_levels(np.diff(dep_indptr), dpt_indptr, dpt_indices,
+                           dep_indptr.shape[0] - 1, max_depth=LEVEL_MAX_DEPTH)

@@ -243,7 +243,12 @@ def _compile_program(schedule, machine, libraries,
         [src if src < n else int(book_op[src - n]) for src in row]
         for row in rows
     ]
-    _, _, leveling = graph_leveling([tuple(r) for r in level_rows], n)
+    lens = np.fromiter(map(len, level_rows), np.int64, n)
+    level_indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(lens, out=level_indptr[1:])
+    level_indices = np.fromiter((d for row in level_rows for d in row),
+                                np.int64, int(level_indptr[-1]))
+    leveling = graph_leveling(level_indptr, level_indices)
     if leveling is None:
         return None
     levels, depth = leveling

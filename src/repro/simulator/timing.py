@@ -206,15 +206,17 @@ def decode_resource(rid: int) -> ResourceKey:
 
 @dataclass
 class PricedColumns:
-    """Array-form pricing of a whole op graph (the levelized engine's input).
+    """Array-form pricing of a whole op graph (both engines' input).
 
     The value-for-value equivalent of a ``list[PricedOp]`` without the
     objects: ``alpha``/``gamma`` are per-op scalars, and each op's resource
     bookings live in up to four slots of ``res_id``/``res_dur`` (id ``-1``
-    and duration ``0.0`` mark unused slots).  Ids are either the packed
-    arithmetic encoding above (schedule pricing) or interned sequential ids
-    with an explicit ``keys`` table (merged workload graphs); use
-    :meth:`resource_key` to translate either kind back to tuple keys.
+    and duration ``0.0`` mark unused slots, which always follow the used
+    ones).  Ids are either the packed arithmetic encoding above (schedule
+    pricing, and the merged workload graphs built from it) or interned
+    sequential ids with an explicit ``keys`` table
+    (:func:`columns_from_priced`); use :meth:`resource_key` to translate
+    either kind back to tuple keys.
     """
 
     alpha: np.ndarray  # (n,) float64
@@ -416,8 +418,11 @@ def price_schedule(
 
     Bit-identical to mapping :func:`price_op` over ``schedule.ops`` (same
     float64 values through the same operations) without materializing any
-    :class:`~repro.core.schedule.P2POp` views; this is what lets the event
-    engine price six-figure op counts in well under a second.
+    :class:`~repro.core.schedule.P2POp` views.  No simulator path builds
+    these objects any more — both engines read
+    :func:`price_schedule_columns` — but the repository benchmark's tracer
+    (``perfbench/tracing.py``) wraps this function and
+    :func:`columns_from_priced` by name, so both stay until it changes.
     """
     if len(schedule) < BATCH_MIN_OPS:
         return [price_op(op, machine, libraries, elem_bytes)
@@ -560,12 +565,12 @@ def bookings_at(static: BookingColumns, start: np.ndarray
 
 
 def columns_from_priced(priced: list[PricedOp]) -> PricedColumns | None:
-    """Interned column form of already-priced ops (merged workload graphs).
+    """Interned column form of already-priced ops.
 
     Resource keys are interned into sequential ids with an explicit decode
-    table instead of the packed arithmetic encoding, since workload graphs
-    carry virtual gate ops and arbitrary key tuples.  Returns ``None`` when
-    any op books more than the four slots the column form holds.
+    table instead of the packed arithmetic encoding, so arbitrary key
+    tuples round-trip.  Returns ``None`` when any op books more than the
+    four slots the column form holds.
     """
     n = len(priced)
     alpha = np.fromiter((c.alpha for c in priced), np.float64, n)

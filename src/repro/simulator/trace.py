@@ -19,11 +19,13 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
+import numpy as np
+
 from ..core.schedule import Schedule
 from ..machine.spec import MachineSpec
 from ..transport.library import Library
-from .engine import TimingResult
-from .timing import price_schedule
+from .engine import TimingResult, rank_resources
+from .timing import price_schedule_columns
 
 
 @dataclass(frozen=True)
@@ -51,9 +53,11 @@ def build_trace(schedule: Schedule, timing: TimingResult, machine: MachineSpec,
                 libraries: tuple[Library, ...], elem_bytes: int = 4
                 ) -> list[TraceEvent]:
     """Join the schedule with the engine's realized times."""
+    cols = price_schedule_columns(schedule, machine, libraries, elem_bytes)
+    keys = {rid: cols.resource_key(rid)
+            for rid in np.unique(cols.res_id[cols.res_id >= 0]).tolist()}
     events = []
-    priced_all = price_schedule(schedule, machine, libraries, elem_bytes)
-    for op, priced in zip(schedule.ops, priced_all):
+    for op, row in zip(schedule.ops, cols.res_id.tolist()):
         events.append(TraceEvent(
             uid=op.uid,
             name=op.tag or ("copy" if op.is_local else "p2p"),
@@ -64,7 +68,7 @@ def build_trace(schedule: Schedule, timing: TimingResult, machine: MachineSpec,
             stage=op.stage,
             start=timing.start_times[op.uid],
             finish=timing.completion_times[op.uid],
-            resources=tuple(key for key, _ in priced.resources),
+            resources=tuple(keys[rid] for rid in row if rid >= 0),
         ))
     return events
 
@@ -156,8 +160,12 @@ class UtilizationReport:
     engine: str = "event"
 
     def bottlenecks(self, n: int = 5) -> list[tuple[tuple, float]]:
-        """The ``n`` busiest resources, highest busy-fraction first."""
-        return sorted(self.busy_fraction.items(), key=lambda kv: -kv[1])[:n]
+        """The ``n`` busiest resources, highest busy-fraction first.
+
+        Equal fractions rank by resource key (:func:`rank_resources`), so
+        the report does not depend on which engine filled the dict.
+        """
+        return rank_resources(self.busy_fraction, n)
 
     def render(self, n: int = 10) -> str:
         """Text report: makespan plus the ``n`` busiest resources."""

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -125,3 +126,17 @@ class TestUtilizationReport:
         _, comm, _ = traced
         text = utilization_report(comm.timing).render(3)
         assert "makespan" in text and "%" in text
+
+    def test_render_ignores_busy_insertion_order(self, traced):
+        """Equal fractions rank by resource key, not by dict order: the
+        event loop inserts in first-booking order, the level engine in
+        resource-id order, and both must report alike."""
+        _, comm, _ = traced
+        timing = comm.timing
+        items = list(timing.resource_busy.items())
+        fractions = [busy for _, busy in items]
+        assert len(set(fractions)) < len(fractions)  # the case has ties
+        permuted = replace(timing, resource_busy=dict(reversed(items)))
+        for n in (3, 10, len(items)):
+            assert (utilization_report(permuted).render(n)
+                    == utilization_report(timing).render(n))

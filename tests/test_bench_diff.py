@@ -240,6 +240,7 @@ SERVING_REF = {
                              "merged_requests": 3, "replayed": 997,
                              "epochs": 960},
             "bit_identical": True,
+            "replay_wall_seconds": 0.25,
             "speedup": 12.0,
         },
     ],
@@ -282,6 +283,18 @@ def test_serving_speedup_drift_is_one_sided():
     slower["scenarios"][0]["speedup"] = 9.0  # -25%: fails
     failures = _run("serving", SERVING_REF, slower)
     assert any("speedup drifted" in f for f in failures)
+
+
+def test_serving_replay_wall_drift_is_one_sided():
+    """The fast path's own wall is gated, so a ratio that falls only
+    because the naive loop got faster cannot hide a slower replay."""
+    faster = copy.deepcopy(SERVING_REF)
+    faster["scenarios"][0]["replay_wall_seconds"] = 0.1
+    assert _run("serving", SERVING_REF, faster) == []
+    slower = copy.deepcopy(SERVING_REF)
+    slower["scenarios"][0]["replay_wall_seconds"] = 0.35  # +40%: fails
+    failures = _run("serving", SERVING_REF, slower)
+    assert any("replay_wall_seconds drifted" in f for f in failures)
 
 
 def test_serving_leg_set_must_match():

@@ -209,6 +209,31 @@ class TestCommands:
         finally:
             plancache.reset()
 
+    def test_cache_json_clear_deletes_and_reports(
+            self, tmp_path, monkeypatch, capsys):
+        """``--json --clear`` clears like the text mode and reports how
+        many files went; the counts describe the cache before the clear."""
+        import json
+
+        from repro.core import plancache
+
+        for name in ("v2-a.npz", "v1-b.pkl"):
+            (tmp_path / name).write_bytes(b"x" * 10)
+        monkeypatch.setenv(plancache.ENV_CACHE_DIR, str(tmp_path))
+        plancache.configure(disk_dir=None)
+        try:
+            assert main(["cache", "--json"]) == 0
+            doc = json.loads(capsys.readouterr().out)
+            assert doc["cleared"] == 0
+            assert len(list(tmp_path.iterdir())) == 2
+            assert main(["cache", "--json", "--clear"]) == 0
+            doc = json.loads(capsys.readouterr().out)
+            assert doc["cleared"] == 2
+            assert doc["disk"]["entries"] + doc["disk"]["stale"] == 2
+            assert list(tmp_path.iterdir()) == []
+        finally:
+            plancache.reset()
+
     def test_unknown_system_errors(self):
         with pytest.raises(KeyError):
             main(["bounds", "--system", "summit"])

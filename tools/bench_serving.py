@@ -22,8 +22,12 @@ Hard contract (exit 1 on violation):
 
 * every scenario's latency vector is bit-identical to the merged
   brute-force event simulation;
-* the replay fast path is >= 10x faster than the naive loop on every
-  scenario at 1000 arrivals.
+* the replay fast path is >= ``MIN_SPEEDUP`` times faster than the naive
+  loop on every scenario at 1000 arrivals.
+
+The replay wall itself is drift-ruled too, so a ratio that falls only
+because the naive loop (``simulate_workload`` per arrival) got faster
+cannot hide a slower replay.
 
 Usage::
 
@@ -42,6 +46,14 @@ SEED = 0
 
 SYSTEMS = ("delta", "perlmutter")
 NODES = 4
+
+#: Floor on every leg's ``speedup`` (naive wall / replay wall).  The naive
+#: loop is the event engine, so when that loop moved onto priced columns
+#: the floor was scaled to keep the absolute replay wall it demanded
+#: before: the earlier floor of 10 times the largest per-leg new/old ratio
+#: of the naive-wall medians (0.608, delta/prefill_decode, 5 alternating
+#: runs on one 2-core host), rounded up to one decimal.
+MIN_SPEEDUP = 6.1
 
 
 def measure_scenario(system: str, name: str) -> dict:
@@ -114,10 +126,10 @@ def check(result: dict) -> list[str]:
             failures.append(
                 f"{label}: replay latencies are not bit-identical to the "
                 "merged event-engine brute force")
-        if leg["speedup"] < 10.0:
+        if leg["speedup"] < MIN_SPEEDUP:
             failures.append(
-                f"{label}: replay speedup {leg['speedup']}x < 10x over the "
-                "naive per-arrival loop")
+                f"{label}: replay speedup {leg['speedup']}x < "
+                f"{MIN_SPEEDUP}x over the naive per-arrival loop")
     return failures
 
 
@@ -131,7 +143,10 @@ BENCH = Bench(
         "scenarios.*.replay_stats",
         "scenarios.*.bit_identical",
     ),
-    drift={"scenarios.*.speedup": "lower"},
+    drift={
+        "scenarios.*.speedup": "lower",
+        "scenarios.*.replay_wall_seconds": "higher",
+    },
     check=check,
 )
 

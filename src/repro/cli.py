@@ -228,7 +228,8 @@ def cmd_bench(args) -> int:
 
 
 def cmd_cache(args) -> int:
-    """Show (or clear) the plan cache: in-process stats + persisted plans.
+    """Show (or clear) the plan cache: per-layer in-process stats (schedule
+    and timing) + persisted entries.
 
     With ``--socket`` the statistics come from a running plan daemon
     instead: service counters, coalescing counters, and the per-shard
@@ -238,6 +239,7 @@ def cmd_cache(args) -> int:
     import json as _json
 
     from .core.plancache import (
+        LAYERS,
         SCHEMA_VERSION,
         PlanCache,
         default_disk_dir,
@@ -284,7 +286,16 @@ def cmd_cache(args) -> int:
     entries = disk.disk_entries()
     size = sum(p.stat().st_size for p in entries)
     stale = len(disk.disk_files()) - len(entries)
+    stats = cache.stats
+    held = {name: cache.held(name) for name in LAYERS}
     if args.json:
+        counters = ("lookups", "memory_hits", "disk_hits", "misses", "stores",
+                    "evictions")
+        layers = {
+            name: {"entries": held[name][0], "bytes": held[name][1],
+                   **{c: getattr(stats.layers[name], c) for c in counters}}
+            for name in LAYERS
+        }
         doc = {
             "schema": SCHEMA_VERSION,
             "in_process": {
@@ -292,13 +303,9 @@ def cmd_cache(args) -> int:
                 "capacity": cache.capacity,
                 "bytes": cache.total_bytes(),
                 "max_bytes": cache.max_total_bytes,
-                "lookups": cache.stats.lookups,
-                "memory_hits": cache.stats.memory_hits,
-                "disk_hits": cache.stats.disk_hits,
-                "misses": cache.stats.misses,
-                "stores": cache.stats.stores,
-                "evictions": cache.stats.evictions,
-                "seconds_saved": cache.stats.seconds_saved,
+                **{c: getattr(stats, c) for c in counters},
+                "seconds_saved": stats.seconds_saved,
+                "layers": layers,
             },
             "disk": {
                 "dir": str(disk.disk_dir),
@@ -315,13 +322,16 @@ def cmd_cache(args) -> int:
         print(_json.dumps(doc, indent=2, sort_keys=True))
         return 0
     print(f"plan cache (schema v{SCHEMA_VERSION})")
-    print(f"  in-process: {len(cache)} plan(s), capacity {cache.capacity}, "
-          f"{cache.total_bytes() / 1e6:.2f} MB of plan arrays held "
-          f"(budget {cache.max_total_bytes / 1e6:.0f} MB)")
-    print(f"  stats: {cache.stats.render()}")
+    print(f"  in-process: capacity {cache.capacity} entries and budget "
+          f"{cache.max_total_bytes / 1e6:.0f} MB per layer")
+    for name in LAYERS:
+        entries_held, bytes_held = held[name]
+        print(f"    {name} layer: {entries_held} entries, "
+              f"{bytes_held / 1e6:.2f} MB of arrays")
+    print(f"  stats: {stats.render()}")
     state = "active" if cache.disk_dir is not None else "inactive; set REPRO_PLAN_CACHE=disk"
     print(f"  disk layer ({state}): {disk.disk_dir}")
-    print(f"    {len(entries)} persisted plan(s), {size / 1e6:.2f} MB; "
+    print(f"    {len(entries)} persisted entry file(s), {size / 1e6:.2f} MB; "
           f"{stale} stale file(s) of other schema versions or interrupted "
           "stores")
     if args.clear:

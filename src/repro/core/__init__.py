@@ -6,7 +6,14 @@ from .composition import COLLECTIVES, FIGURE8_ORDER, compose
 from .ops import ReduceOp, accumulate, reference_reduce
 from .passes import lower_program, split_even
 from .plan import OptimizationPlan
-from .plancache import CachedPlan, CacheStats, PlanCache, PlanKey, plan_key
+from .plancache import (
+    CachedPlan,
+    CacheStats,
+    PlanCache,
+    PlanKey,
+    schedule_key,
+    timing_key,
+)
 from .primitives import Fence, Multicast, Program, Reduction
 from .schedule import P2POp, Schedule, ScheduleBuilder
 from .vcollectives import (
@@ -30,7 +37,8 @@ __all__ = [
     "CacheStats",
     "PlanCache",
     "PlanKey",
-    "plan_key",
+    "schedule_key",
+    "timing_key",
     "Communicator",
     "FIGURE8_ORDER",
     "Fence",

@@ -34,6 +34,7 @@ class BufferHandle:
             raise CompositionError(f"buffer {self.name!r}: negative count")
 
     def view(self, offset: int = 0) -> "BufferView":
+        """View starting ``offset`` elements into this buffer."""
         return BufferView(self, offset)
 
     def __getitem__(self, key) -> "BufferView":
@@ -74,6 +75,7 @@ class BufferView:
 
     @property
     def name(self) -> str:
+        """Name of the viewed buffer."""
         return self.handle.name
 
     @property
@@ -86,6 +88,8 @@ class BufferView:
         return BufferView(self.handle, self.offset + delta)
 
     def check_capacity(self, count: int, what: str) -> None:
+        """Raise :class:`CompositionError` unless ``count`` elements fit
+        from this view on; ``what`` names the caller in the message."""
         if count < 0:
             raise CompositionError(f"{what}: negative element count {count}")
         if count > self.capacity:

@@ -41,6 +41,27 @@ from .primitives import Program
 from .schedule import Schedule
 
 
+def _memoized(cache: plancache.PlanCache | None, key: plancache.PlanKey,
+              build):
+    """``(value, built)``: the product ``key``'s layer caches, else
+    ``build()``'s, stored under ``key``.
+
+    With no cache (``use_cache=False``) it always builds and stores nothing.
+    """
+    if cache is None:
+        return build(), True
+    timing = key.layer == "timing"
+    entry = cache.get(key)
+    if entry is not None:
+        return (entry.timing if timing else entry.schedule), False
+    t0 = time.perf_counter()
+    value = build()
+    seconds = time.perf_counter() - t0
+    cache.put(key, plancache.CachedPlan(
+        None if timing else value, value if timing else None, seconds))
+    return value, True
+
+
 class Communicator:
     """Persistent collective communicator over a simulated machine."""
 
@@ -60,6 +81,7 @@ class Communicator:
         self.program = Program(machine.world_size)
         self.plan: OptimizationPlan | None = None
         self.schedule: Schedule | None = None
+        self._global_schedule: Schedule | None = None
         self._timing: TimingResult | None = None
         self._pending = False
         self.last_elapsed: float | None = None
@@ -70,6 +92,7 @@ class Communicator:
     # -------------------------------------------------------------- buffers
     @property
     def world_size(self) -> int:
+        """Number of ranks this communicator spans."""
         return self.machine.world_size
 
     def alloc(self, count: int, name: str | None = None) -> BufferHandle:
@@ -141,16 +164,18 @@ class Communicator:
         names optional post-bind passes (``"fuse"``, ``"dce"`` — see
         :mod:`repro.core.passes.opt`); they alter pricing and default off.
 
-        The synthesized schedule and its priced timing are memoized in the
-        process-wide plan cache (:mod:`repro.core.plancache`): a later
-        ``init`` with an identical (program, machine, parameters, dtype)
-        configuration — on this or any other Communicator — reuses them
-        without lowering or pricing anything.  ``use_cache=False`` forces a
+        Both products are memoized in the process-wide plan cache
+        (:mod:`repro.core.plancache`): the schedule under a key without the
+        libraries or dtype, the timing under the schedule's key plus them.
+        A later ``init`` — on this or any other Communicator — with the same
+        lowering parameters reuses the schedule without lowering, and with
+        the same libraries and dtype too reuses the timing without pricing
+        (:attr:`cache_hit` is then true).  ``use_cache=False`` forces a
         fresh synthesis and leaves the cache untouched.  ``cache_extra``
-        extends the cache key with caller-specific hashable components —
-        the size-classed plan tables use it to keep each size class's
-        served plan addressable under its own key (see
-        :func:`repro.planner.table.plan_table`).
+        extends the schedule key (and so the timing key) with
+        caller-specific hashable components — the size-classed plan tables
+        use it to keep each size class's served plan addressable under its
+        own key (see :func:`repro.planner.table.plan_table`).
         """
         if self.schedule is not None:
             raise InitializationError("communicator already initialized")
@@ -161,40 +186,52 @@ class Communicator:
             self.machine, hierarchy, library,
             stripe=stripe, ring=ring, pipeline=pipeline,
         )
-        self._optimize = tuple(optimize)
-        self.cache_hit = False
+        optimize = tuple(optimize)
         cache = plancache.get_cache() if use_cache else None
         key = None
         if cache is not None:
-            key = plancache.plan_key(
-                self.program, self.machine,
-                self.plan.topology.factors, self.plan.libraries,
+            key = plancache.schedule_key(
+                self.program, self.machine, self.plan.topology.factors,
                 stripe=self.plan.stripe, ring=self.plan.ring,
-                pipeline=self.plan.pipeline,
-                elem_bytes=self.dtype.itemsize, dtype_name=self.dtype.name,
-                extra=(
-                    (("optimize", self._optimize),) if self._optimize else ()
-                ) + tuple(cache_extra),
+                pipeline=self.plan.pipeline, optimize=optimize,
+                extra=tuple(cache_extra),
             )
-            cached = cache.get(key)
-            if cached is not None:
-                self.schedule = cached.schedule
-                self._timing = cached.timing
-                self.cache_hit = True
-                self.synthesis_seconds = time.perf_counter() - t0
-                return
-        self.schedule = lower_program(self.program, self.plan,
-                                      optimize=self._optimize)
+        self.schedule, lowered = _memoized(
+            cache, key,
+            lambda: lower_program(self.program, self.plan, optimize=optimize),
+        )
+        placement = self._placement()
+        if placement:
+            if cache is not None:
+                key = plancache.extend_key(key, placement)
+            self._global_schedule, _ = _memoized(
+                cache, key, lambda: self._embed(self.schedule))
+        else:
+            self._global_schedule = self.schedule
+        if cache is not None:
+            key = plancache.timing_key(
+                key, self.global_machine, self.plan.libraries,
+                elem_bytes=self.dtype.itemsize, dtype_name=self.dtype.name,
+            )
         # Price the schedule once; the persistent design (Section 5.2) reuses
         # the memoized movement and timing on every subsequent start().
-        self._timing = simulate(
-            self.schedule, self.machine, self.plan.libraries, self.dtype.itemsize
+        self._timing, simulated = _memoized(
+            cache, key, lambda: simulate(
+                self._global_schedule, self.global_machine,
+                self.plan.libraries, self.dtype.itemsize,
+            ),
         )
+        self.cache_hit = not (lowered or simulated)
         self.synthesis_seconds = time.perf_counter() - t0
-        if cache is not None:
-            cache.put(key, plancache.CachedPlan(
-                self.schedule, self._timing, self.synthesis_seconds,
-            ))
+
+    def _placement(self) -> tuple:
+        """Key extra naming where :attr:`global_schedule` sits in machine
+        rank space; empty when :attr:`schedule` already is global."""
+        return ()
+
+    def _embed(self, schedule: Schedule) -> Schedule:
+        """``schedule`` moved into :attr:`global_machine` rank space."""
+        return schedule
 
     def init_tuned(
         self,
@@ -289,15 +326,15 @@ class Communicator:
     def global_schedule(self) -> Schedule:
         """The initialized schedule in machine (global) rank space.
 
-        For a plain communicator this *is* :attr:`schedule`;
-        :class:`SubCommunicator` overrides it with the group schedule embedded
-        onto the parent machine's ranks.  Workload composition
+        For a plain communicator this *is* :attr:`schedule`; for a
+        :class:`SubCommunicator` it is the group schedule embedded onto the
+        parent machine's ranks.  Workload composition
         (:mod:`repro.workloads`) always reads this property, so full-machine
         and group communicators mix freely on one shared timeline.
         """
-        if self.schedule is None:
+        if self._global_schedule is None:
             raise InitializationError("init() must be called first")
-        return self.schedule
+        return self._global_schedule
 
     @property
     def global_machine(self) -> MachineSpec:
@@ -305,6 +342,7 @@ class Communicator:
         return self.machine
 
     def describe(self) -> str:
+        """One-line summary: world size, plan parameters, op count."""
         if self.plan is None:
             return f"Communicator(p={self.world_size}, uninitialized)"
         return (
@@ -377,16 +415,20 @@ class SubCommunicator(Communicator):
     (``0 .. len(ranks)-1``, like an MPI sub-communicator), lowers against the
     group-shaped machine of :func:`group_machine`, then embeds the schedule
     onto the parent machine's global ranks and prices it against the parent's
-    physical NICs and links.  :attr:`timing` therefore reports the honest
-    isolated cost of the group's traffic on the real topology, and
-    :attr:`global_schedule` is ready to share a workload timeline
-    (:func:`repro.simulator.engine.simulate_workload`) with any other group
-    of the same machine.
+    physical NICs and links — and only there: the group machine is a
+    lowering scaffold whose timing nothing reads.  :attr:`timing` therefore
+    reports the honest isolated cost of the group's traffic on the real
+    topology, and :attr:`global_schedule` is ready to share a workload
+    timeline (:func:`repro.simulator.engine.simulate_workload`) with any
+    other group of the same machine.
 
-    Both synthesis products are memoized: the group-space lowering under the
-    group machine's plan key (shared by every same-shape group *and* by
-    standalone communicators over an identical machine), and the embedded,
-    parent-priced plan under that key extended with the group's placement.
+    It overrides only the embedding step of :meth:`Communicator.init` and
+    the key extra naming its placement.  The group-space lowering is cached
+    under the group machine's schedule key (shared by every same-shape group
+    *and* by standalone communicators over an identical machine); the
+    embedded schedule under that key extended with the parent machine and
+    the group's global ranks; the parent-priced timing under the embedded
+    schedule's key plus the libraries and dtype.
     """
 
     def __init__(self, machine: MachineSpec, ranks, dtype=np.float32,
@@ -401,18 +443,10 @@ class SubCommunicator(Communicator):
                          materialize=materialize)
         self.parent = machine
         self.global_ranks = ranks
-        self._global_schedule: Schedule | None = None
 
     def global_rank(self, group_rank: int) -> int:
         """Machine rank hosting ``group_rank`` of this group."""
         return self.global_ranks[group_rank]
-
-    @property
-    def global_schedule(self) -> Schedule:
-        """The lowered schedule embedded into the parent's rank space."""
-        if self._global_schedule is None:
-            raise InitializationError("init() must be called first")
-        return self._global_schedule
 
     @property
     def global_machine(self) -> MachineSpec:
@@ -434,45 +468,22 @@ class SubCommunicator(Communicator):
 
         Parameters are those of :meth:`Communicator.init`, interpreted
         against the group machine (``hierarchy`` factors the *group* size,
-        ``stripe`` is bounded by the group's per-node GPU count).
+        ``stripe`` is bounded by the group's per-node GPU count).  Kept as
+        its own method so host-time spans tell group inits apart.
         """
         super().init(hierarchy, library, ring=ring, stripe=stripe,
                      pipeline=pipeline, use_cache=use_cache,
                      optimize=optimize, cache_extra=cache_extra)
-        t0 = time.perf_counter()
-        cache = plancache.get_cache() if use_cache else None
-        key = None
-        if cache is not None:
-            key = plancache.plan_key(
-                self.program, self.machine,
-                self.plan.topology.factors, self.plan.libraries,
-                stripe=self.plan.stripe, ring=self.plan.ring,
-                pipeline=self.plan.pipeline,
-                elem_bytes=self.dtype.itemsize, dtype_name=self.dtype.name,
-                extra=(
-                    ("group", plancache.machine_fingerprint(self.parent),
-                     self.global_ranks),
-                ) + ((("optimize", self._optimize),) if self._optimize else ())
-                + tuple(cache_extra),
-            )
-            cached = cache.get(key)
-            if cached is not None:
-                self._global_schedule = cached.schedule
-                self._timing = cached.timing
-                return
-        self._global_schedule = embed_schedule(
-            self.schedule, self.global_ranks, self.parent.world_size
-        )
-        self._timing = simulate(
-            self._global_schedule, self.parent, self.plan.libraries,
-            self.dtype.itemsize,
-        )
-        if cache is not None:
-            cache.put(key, plancache.CachedPlan(
-                self._global_schedule, self._timing,
-                time.perf_counter() - t0,
-            ))
+
+    def _placement(self) -> tuple:
+        return (("group", plancache.machine_fingerprint(self.parent),
+                 self.global_ranks),)
+
+    def _embed(self, schedule: Schedule) -> Schedule:
+        return embed_schedule(schedule, self.global_ranks,
+                              self.parent.world_size)
 
     def describe(self) -> str:
+        """One-line summary naming the parent machine and the group ranks."""
         base = super().describe()
         return f"{base[:-1]}, group of {self.parent.name} ranks {list(self.global_ranks)})"

@@ -47,6 +47,12 @@ class OptimizationPlan:
         ring: int = 1,
         pipeline: int = 1,
     ) -> "OptimizationPlan":
+        """Validate the parameters against ``machine`` and build the plan.
+
+        Raises :class:`InitializationError` (or a hierarchy/library error)
+        for a factorization, library vector, stripe, ring or pipeline depth
+        the machine cannot run.
+        """
         topology = TreeTopology(list(hierarchy), machine.world_size)
         libraries = tuple(libraries)
         validate_level_libraries(machine, topology, list(libraries))
@@ -77,13 +83,11 @@ class OptimizationPlan:
 
     @property
     def uses_ring(self) -> bool:
+        """True when the top level runs the ring (``ring > 1``)."""
         return self.ring > 1
 
-    def library_for_depth(self, separating_depth: int) -> Library:
-        """Library serving a hop whose endpoints separate at ``depth``."""
-        return self.libraries[separating_depth - 1]
-
     def describe(self) -> str:
+        """One-line summary of every parameter."""
         libs = ", ".join(lib.name for lib in self.libraries)
         topo = "ring+tree" if self.uses_ring else "tree"
         return (

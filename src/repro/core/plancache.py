@@ -2,25 +2,38 @@
 
 ``Communicator.init()`` is expensive: lowering a pipelined program emits tens
 of thousands of point-to-point ops and the event engine prices every one of
-them.  The schedule and its timing are pure functions of
+them.  The two products depend on different inputs.  The lowered schedule is
+a pure function of
 
-    (program, machine, hierarchy, libraries, stripe, ring, pipeline, dtype)
+    (program, machine, hierarchy, stripe, ring, pipeline, optimize, extra)
 
-so identical configurations — common inside figure sweeps, autotuning grids,
-and repeated test fixtures — can share one synthesis.  This module provides a
-content-addressed cache over exactly that tuple:
+and does not depend on the per-level libraries at all: they only decide how
+each point-to-point op is *priced*.  The timing adds
 
-``plan_key``
-    Builds a :class:`PlanKey` from the registered program, the machine
-    fingerprint, and the optimization parameters.  The key embeds
-    :data:`SCHEMA_VERSION`, so any change to the lowered IR or the pricing
-    model invalidates all previously persisted plans at once.
+    (libraries, their transport profiles, elem_bytes, dtype)
+
+on top of the schedule.  A planner that tries several library vectors for
+one schedule therefore lowers it once and prices it once per vector.  One
+:class:`PlanCache` holds both products in two layers:
+
+``schedule_key``
+    Builds the schedule-layer :class:`PlanKey` from the registered program,
+    the machine fingerprint, and the lowering parameters.  :func:`extend_key`
+    derives a further schedule-layer key from it (sub-communicators key
+    their embedded schedule that way).
+
+``timing_key``
+    Builds the timing-layer key from a schedule key's *digest* plus the
+    library, profile and dtype parts, so the program and machine are
+    fingerprinted once per init.  Both keys embed :data:`SCHEMA_VERSION`, so
+    any change to the lowered IR or the pricing model invalidates every
+    persisted entry at once.
 
 ``PlanCache``
-    A two-layer cache: an in-process LRU (always on) and an optional on-disk
-    layer of versioned ``.npz`` archives under ``~/.cache/repro/plans/`` (or
-    ``$REPRO_PLAN_CACHE_DIR``).  Hit/miss statistics are kept per layer and
-    surfaced by ``repro cache`` in the CLI.
+    Per layer, an in-process LRU (always on) with its own entry and byte
+    budget, and an optional on-disk layer of versioned ``.npz`` archives
+    under ``~/.cache/repro/plans/`` (or ``$REPRO_PLAN_CACHE_DIR``).  Lookups,
+    hits and misses are counted per layer and surfaced by ``repro cache``.
 
 Cached :class:`~repro.core.schedule.Schedule` objects are shared between
 communicators; both interpreters (functional executor, event engine) treat
@@ -32,14 +45,15 @@ processes — the parallel sweep workers in :mod:`repro.bench.parallel` do this
 so a warm sweep prices each distinct configuration exactly once per machine,
 not once per process.
 
-**Disk format.**  The schedule's structure-of-arrays columns, the CSR
-dependency arrays, and the timing rows are written as plain numpy arrays
-(``np.savez``); string/structural metadata travels as one JSON document
-inside the archive.  Archives are loaded with ``allow_pickle=False`` — no
-code ever executes from a cache file; a corrupt, stale, or mismatched
-archive is treated as a miss.  Memory accounting is exact: every plan is
-charged its arrays' byte sizes, including dependency and timing storage
-(:func:`plan_nbytes`).
+**Disk format.**  Each archive holds one layer's entry: a schedule entry its
+structure-of-arrays columns and CSR dependency arrays, a timing entry its
+timing rows, all as plain numpy arrays (``np.savez``); string/structural
+metadata travels as one JSON document inside the archive.  Archives are
+loaded with ``allow_pickle=False`` — no code ever executes from a cache
+file; a corrupt, stale, or mismatched archive is treated as a miss.  Memory
+accounting is exact (:func:`plan_nbytes`): a schedule entry is charged its
+schedule's arrays and a timing entry its timing rows, so a timing entry never
+charges its schedule a second time.
 """
 
 from __future__ import annotations
@@ -50,7 +64,7 @@ import json
 import os
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -62,19 +76,23 @@ from .schedule import COLUMNS, Schedule
 #: Bump whenever the lowered IR, the pricing model, or the key layout
 #: changes; persisted plans with a different schema are ignored (and swept by
 #: :meth:`PlanCache.clear_disk`).  v2: array-form Schedule IR + .npz layout.
-SCHEMA_VERSION = 2
+#: v3: separate schedule and timing layers, one layer per archive.
+SCHEMA_VERSION = 3
+
+#: The layers of a :class:`PlanCache`, in the order reports list them.
+LAYERS = ("schedule", "timing")
 
 #: Environment knobs for the process-wide default cache.
 ENV_CACHE_MODE = "REPRO_PLAN_CACHE"  # "disk" enables the on-disk layer
 ENV_CACHE_DIR = "REPRO_PLAN_CACHE_DIR"  # overrides the default directory
 
-#: Default in-process LRU capacity (plans, not bytes).
+#: Default in-process LRU capacity of each layer (entries, not bytes).
 DEFAULT_CAPACITY = 256
 
-#: Memory budget of the in-process layer in bytes, measured with
-#: :func:`plan_nbytes` (the exact array footprint of each plan's schedule
-#: columns, CSR dependency storage, and timing rows).  Large sweeps over
-#: six-figure-op schedules evict early instead of pinning gigabytes the
+#: Memory budget of each layer's in-process LRU in bytes, measured with
+#: :func:`plan_nbytes` (the exact array footprint of an entry's schedule
+#: columns and CSR dependency storage, or of its timing rows).  Large sweeps
+#: over six-figure-op schedules evict early instead of pinning gigabytes the
 #: pre-cache code released with each Communicator.
 DEFAULT_MAX_TOTAL_BYTES = 256 << 20
 
@@ -135,91 +153,132 @@ def program_fingerprint(program) -> tuple:
 
 @dataclass(frozen=True)
 class PlanKey:
-    """Content address of one synthesized plan.
+    """Content address of one cache entry.
 
-    ``parts`` is the full (hashable) identity tuple; ``digest`` is its SHA-256
-    hex digest, used as the LRU key and the on-disk file name.
+    ``layer`` names the layer holding the entry (one of :data:`LAYERS`);
+    ``parts`` is the full (hashable) identity tuple; ``digest`` is its
+    SHA-256 hex digest, used as the LRU key and the on-disk file name.
     """
 
+    layer: str
     digest: str
     parts: tuple
 
     def filename(self) -> str:
+        """Name of this entry's archive in the disk layer."""
         return f"v{SCHEMA_VERSION}-{self.digest}.npz"
 
 
-def plan_key(
+def _profile_values(prof) -> tuple:
+    return tuple(getattr(prof, f.name) for f in fields(prof))
+
+
+def _key(layer: str, parts: tuple) -> PlanKey:
+    parts = (("schema", SCHEMA_VERSION), ("layer", layer)) + parts
+    return PlanKey(layer, hashlib.sha256(repr(parts).encode()).hexdigest(),
+                   parts)
+
+
+def schedule_key(
     program,
     machine: MachineSpec,
     hierarchy,
-    libraries,
     *,
     stripe: int,
     ring: int,
     pipeline: int,
-    elem_bytes: int,
-    dtype_name: str,
+    optimize: tuple = (),
     extra: tuple = (),
 ) -> PlanKey:
-    """Content-address one ``Communicator.init`` configuration.
+    """Schedule-layer key of one lowering.
 
-    ``extra`` extends the identity tuple with caller-specific hashable
-    components — sub-communicators use it to fold the parent machine and the
-    group's global rank placement into the key, so two same-shape groups
-    share the group-space synthesis under the plain key while their embedded
-    (parent-priced) plans stay distinct.
+    Everything the lowering reads is in it; the libraries, the dtype and the
+    element size are not, since lowering never reads them.  ``extra``
+    extends the identity tuple with caller-specific hashable components
+    (``Communicator.init``'s ``cache_extra``).
     """
     parts = (
-        ("schema", SCHEMA_VERSION),
         ("program", program_fingerprint(program)),
         ("machine", machine_fingerprint(machine)),
         ("hierarchy", tuple(int(f) for f in hierarchy)),
-        ("libraries", tuple(lib.value for lib in libraries)),
-        # Pricing depends on the calibrated per-library envelopes too, so an
-        # edit to transport/profiles.py invalidates persisted plans without
-        # anyone having to remember to bump SCHEMA_VERSION.
-        ("profiles", tuple(
-            (lib.value,) + tuple(
-                getattr(profile(lib, machine.name), f.name)
-                for f in fields(profile(lib, machine.name))
-            )
-            for lib in libraries
-        )),
         ("stripe", int(stripe)),
         ("ring", int(ring)),
         ("pipeline", int(pipeline)),
+    )
+    if optimize:
+        parts += (("optimize", tuple(optimize)),)
+    if extra:
+        parts += (("extra", tuple(extra)),)
+    return _key("schedule", parts)
+
+
+def extend_key(key: PlanKey, extra: tuple) -> PlanKey:
+    """A key of ``key``'s layer for an entry derived from ``key``'s entry.
+
+    Sub-communicators key their embedded schedule this way: the group-space
+    lowering stays under the plain key, shared by every same-shape group,
+    while ``extra`` (parent machine and global rank placement) keeps each
+    group's embedding distinct.
+    """
+    return _key(key.layer, (("base", key.digest), ("extra", tuple(extra))))
+
+
+def timing_key(
+    key: PlanKey,
+    machine: MachineSpec,
+    libraries,
+    *,
+    elem_bytes: int,
+    dtype_name: str,
+) -> PlanKey:
+    """Timing-layer key of the schedule under ``key`` priced on ``machine``.
+
+    Hashes the schedule key's digest, not its parts, so the program and
+    machine are fingerprinted once per init.  ``machine`` must be the one
+    the schedule key already names; only its name is read here, to look up
+    the library profiles.
+    """
+    return _key("timing", (
+        ("schedule", key.digest),
+        ("libraries", tuple(lib.value for lib in libraries)),
+        # Pricing depends on the calibrated per-library envelopes too, so an
+        # edit to transport/profiles.py invalidates persisted timings without
+        # anyone having to remember to bump SCHEMA_VERSION.
+        ("profiles", tuple(
+            (lib.value,) + _profile_values(profile(lib, machine.name))
+            for lib in libraries
+        )),
         ("elem_bytes", int(elem_bytes)),
         ("dtype", dtype_name),
-    )
-    if extra:
-        parts = parts + (("extra", tuple(extra)),)
-    digest = hashlib.sha256(repr(parts).encode()).hexdigest()
-    return PlanKey(digest, parts)
+    ))
 
 
 # -------------------------------------------------------------------- value
 @dataclass(frozen=True)
 class CachedPlan:
-    """One memoized synthesis: the lowered schedule and its priced timing.
+    """One memoized product of ``Communicator.init``.
 
-    ``synthesis_seconds`` records the cold synthesis cost, so cache
-    statistics can report how much wall-clock time hits have saved.
+    A schedule-layer entry carries the lowered ``schedule`` (``timing`` is
+    ``None``); a timing-layer entry carries the priced ``timing``
+    (``schedule`` is ``None``).  ``synthesis_seconds`` records the cold cost
+    of producing it, so cache statistics can report how much wall-clock
+    time hits have saved.
     """
 
-    schedule: Schedule
+    schedule: Schedule | None
     timing: object  # TimingResult; untyped to avoid a core -> simulator import
     synthesis_seconds: float
 
 
 def plan_nbytes(plan: CachedPlan) -> int:
-    """Exact array byte footprint of one cached plan.
+    """Exact array byte footprint of one cached entry.
 
     Sums the schedule's column and CSR dependency arrays
     (:meth:`Schedule.nbytes`) plus the timing rows (two float64 values per
     op: start and completion) and the per-resource occupancy table.  This
-    is the figure the LRU's byte budget charges — the historical
-    ``len(schedule.ops)`` proxy ignored timing rows and dependency storage
-    entirely.
+    is the figure each layer's byte budget charges.  An entry holds one
+    layer's product, so a schedule is charged in the schedule layer only
+    and its timing rows in the timing layer only.
     """
     total = 0
     if plan.schedule is not None:
@@ -309,8 +368,8 @@ def _plan_from_payload(payload, key: PlanKey) -> CachedPlan | None:
 
 
 @dataclass
-class CacheStats:
-    """Hit/miss accounting across both layers."""
+class LayerStats:
+    """Lookups, stores and evictions of one cache layer."""
 
     lookups: int = 0
     memory_hits: int = 0
@@ -318,24 +377,61 @@ class CacheStats:
     misses: int = 0
     stores: int = 0
     evictions: int = 0
-    disk_errors: int = 0
-    seconds_saved: float = 0.0
 
     @property
     def hits(self) -> int:
+        """Lookups answered from memory or disk."""
+        return self.memory_hits + self.disk_hits
+
+    def render(self) -> str:
+        """One-line summary."""
+        return (f"lookups={self.lookups} hits={self.hits} "
+                f"misses={self.misses} evictions={self.evictions}")
+
+
+def _summed(name: str) -> property:
+    return property(
+        lambda self: sum(getattr(s, name) for s in self.layers.values()),
+        doc=f"``{name}`` summed over both layers.",
+    )
+
+
+@dataclass
+class CacheStats:
+    """Hit/miss accounting per layer (``layers``) and over both layers."""
+
+    layers: dict[str, LayerStats] = field(
+        default_factory=lambda: {name: LayerStats() for name in LAYERS})
+    disk_errors: int = 0
+    seconds_saved: float = 0.0
+
+    lookups = _summed("lookups")
+    memory_hits = _summed("memory_hits")
+    disk_hits = _summed("disk_hits")
+    misses = _summed("misses")
+    stores = _summed("stores")
+    evictions = _summed("evictions")
+
+    @property
+    def hits(self) -> int:
+        """Lookups answered from memory or disk, over both layers."""
         return self.memory_hits + self.disk_hits
 
     @property
     def hit_rate(self) -> float:
+        """Share of lookups that hit, over both layers (0 before any)."""
         return self.hits / self.lookups if self.lookups else 0.0
 
     def render(self) -> str:
+        """One-line summary of the totals, then each layer's counts."""
+        layers = "; ".join(f"{name}: {stats.render()}"
+                           for name, stats in self.layers.items())
         return (
             f"lookups={self.lookups} hits={self.hits} "
             f"(memory {self.memory_hits}, disk {self.disk_hits}) "
             f"misses={self.misses} stores={self.stores} "
             f"evictions={self.evictions} hit-rate={self.hit_rate:.0%} "
-            f"~{self.seconds_saved:.2f}s synthesis saved"
+            f"~{self.seconds_saved:.2f}s synthesis saved [{layers}]"
         )
 
 
@@ -417,9 +513,15 @@ _tmp_counter = itertools.count()
 
 
 class PlanCache:
-    """Two-layer (LRU memory + optional disk) cache of synthesized plans.
+    """Schedule and timing layers, each an LRU in memory, over one optional
+    disk directory.
 
-    Thread-safe: the in-process layer and its statistics mutate only under
+    A key's :attr:`PlanKey.layer` picks the layer :meth:`get` and
+    :meth:`put` use.  Each layer has its own entry and byte budget
+    (``capacity``, ``max_total_bytes``), so a sweep of ``capacity`` inits
+    keeps both of its products warm.
+
+    Thread-safe: the in-process layers and the statistics mutate only under
     an internal lock, and disk stores write to a uniquely named temp file
     (pid + thread + counter) before an atomic rename, so concurrent writers
     — threads of this process or unrelated processes sharing the directory
@@ -434,20 +536,21 @@ class PlanCache:
     ) -> None:
         self.disk_dir = Path(disk_dir) if disk_dir is not None else None
         self.stats = CacheStats()
-        self._lru = ByteBudgetLRU(capacity, max_total_bytes)
+        self._lrus = {name: ByteBudgetLRU(capacity, max_total_bytes)
+                      for name in LAYERS}
         self._lock = threading.Lock()
 
     @property
     def capacity(self) -> int:
-        """Entry budget of the in-process layer."""
-        return self._lru.capacity
+        """Entry budget of each in-process layer."""
+        return self._lrus[LAYERS[0]].capacity
 
     @property
     def max_total_bytes(self) -> int:
-        """Byte budget of the in-process layer."""
-        return self._lru.max_total_bytes
+        """Byte budget of each in-process layer."""
+        return self._lrus[LAYERS[0]].max_total_bytes
 
-    # ----------------------------------------------------------------- layers
+    # ------------------------------------------------------------------ disk
     def _disk_path(self, key: PlanKey) -> Path | None:
         if self.disk_dir is None:
             return None
@@ -486,14 +589,16 @@ class PlanCache:
 
     # ------------------------------------------------------------------- api
     def get(self, key: PlanKey) -> CachedPlan | None:
-        """Look up a plan; promotes disk hits into the memory layer."""
+        """Look up an entry in ``key``'s layer; promotes disk hits into
+        memory."""
         with self._lock:
-            self.stats.lookups += 1
-            plan = self._lru.get(key.digest)
+            stats = self.stats.layers[key.layer]
+            stats.lookups += 1
+            plan = self._lrus[key.layer].get(key.digest)
             if plan is not None:
-                self.stats.memory_hits += 1
+                stats.memory_hits += 1
                 self.stats.seconds_saved += plan.synthesis_seconds
-                # Write-back: a plan warmed before the disk layer was
+                # Write-back: an entry warmed before the disk layer was
                 # (re)pointed here still belongs in the shared directory.
                 path = self._disk_path(key)
                 if path is not None and not path.exists():
@@ -501,35 +606,42 @@ class PlanCache:
                 return plan
             plan = self._disk_load(key)
             if plan is not None:
-                self.stats.disk_hits += 1
+                stats.disk_hits += 1
                 self.stats.seconds_saved += plan.synthesis_seconds
                 self._insert(key, plan)
                 return plan
-            self.stats.misses += 1
+            stats.misses += 1
             return None
 
     def put(self, key: PlanKey, plan: CachedPlan) -> None:
-        """Store a freshly synthesized plan in both layers."""
+        """Store a fresh entry in ``key``'s layer, in memory and on disk."""
         with self._lock:
-            self.stats.stores += 1
+            self.stats.layers[key.layer].stores += 1
             self._insert(key, plan)
             self._disk_store(key, plan)
 
     def _insert(self, key: PlanKey, plan: CachedPlan) -> None:
-        evicted = self._lru.put(key.digest, plan, plan_nbytes(plan))
-        self.stats.evictions += len(evicted)
+        evicted = self._lrus[key.layer].put(key.digest, plan,
+                                            plan_nbytes(plan))
+        self.stats.layers[key.layer].evictions += len(evicted)
 
     def __len__(self) -> int:
         with self._lock:
-            return len(self._lru)
+            return sum(len(lru) for lru in self._lrus.values())
+
+    def held(self, layer: str) -> tuple[int, int]:
+        """``(entries, bytes)`` one in-process layer holds."""
+        with self._lock:
+            lru = self._lrus[layer]
+            return len(lru), lru.total_bytes()
 
     def total_bytes(self) -> int:
-        """Exact array bytes held by the in-process layer."""
+        """Exact array bytes held by both in-process layers."""
         with self._lock:
-            return self._lru.total_bytes()
+            return sum(lru.total_bytes() for lru in self._lrus.values())
 
     def set_disk_dir(self, disk_dir: Path | str | None) -> None:
-        """(Re)point the persistent layer without touching the warm LRU.
+        """(Re)point the persistent layer without touching the warm LRUs.
 
         Used by the sweep engine so an already-warmed process-wide cache can
         start sharing plans through a given directory instead of being
@@ -539,9 +651,10 @@ class PlanCache:
             self.disk_dir = Path(disk_dir) if disk_dir is not None else None
 
     def clear(self) -> None:
-        """Drop the in-process layer (disk entries are kept)."""
+        """Drop both in-process layers (disk entries are kept)."""
         with self._lock:
-            self._lru.clear()
+            for lru in self._lrus.values():
+                lru.clear()
 
     def clear_disk(self) -> int:
         """Delete every file of :meth:`disk_files`; returns the count."""
@@ -564,8 +677,8 @@ class PlanCache:
         return sorted({p for pat in patterns for p in self.disk_dir.glob(pat)})
 
     def disk_entries(self) -> list[Path]:
-        """Persisted plan files of the *current* schema version: the only
-        ones a lookup can load."""
+        """Persisted entries of the *current* schema version, both layers:
+        the only files a lookup can load."""
         return self._glob_disk(f"v{SCHEMA_VERSION}-*.npz")
 
     def disk_files(self) -> list[Path]:

@@ -56,6 +56,7 @@ class Multicast:
 
     @property
     def is_point_to_point(self) -> bool:
+        """True for a single leaf (one send, no replication)."""
         return len(self.leaves) == 1
 
     def sliced(self, offset: int, count: int) -> "Multicast":
@@ -85,9 +86,11 @@ class Reduction:
 
     @property
     def is_point_to_point(self) -> bool:
+        """True for a single leaf (a plain copy, no combining)."""
         return len(self.leaves) == 1
 
     def sliced(self, offset: int, count: int) -> "Reduction":
+        """Sub-primitive on elements ``[offset, offset+count)`` of the payload."""
         return Reduction(
             self.sendbuf.shifted(offset), self.recvbuf.shifted(offset),
             count, self.leaves, self.root, self.op,
@@ -117,6 +120,8 @@ class Program:
     steps: list[list[Primitive]] = field(default_factory=lambda: [[]])
 
     def add_multicast(self, sendbuf, recvbuf, count: int, root: int, leaves) -> Multicast:
+        """Validate and register ``M(root, leaves, count)`` in the current
+        step; returns the registered primitive."""
         send = as_view(sendbuf)
         recv = as_view(recvbuf)
         leaves = _validated_leaves(leaves, self.world_size, "add_multicast")
@@ -129,6 +134,8 @@ class Program:
         return prim
 
     def add_reduction(self, sendbuf, recvbuf, count: int, leaves, root: int, op: ReduceOp) -> Reduction:
+        """Validate and register ``R(leaves, root, count, op)`` in the
+        current step; returns the registered primitive."""
         send = as_view(sendbuf)
         recv = as_view(recvbuf)
         leaves = _validated_leaves(leaves, self.world_size, "add_reduction")
@@ -152,10 +159,12 @@ class Program:
 
     @property
     def num_steps(self) -> int:
+        """Number of nonempty steps (fence-separated groups)."""
         return len([s for s in self.steps if s])
 
     @property
     def primitives(self) -> list[Primitive]:
+        """Every registered primitive, in registration order."""
         return [p for step in self.steps for p in step]
 
     def max_count(self) -> int:

@@ -80,6 +80,7 @@ class P2POp:
 
     @property
     def is_local(self) -> bool:
+        """True for an on-rank copy (``src == dst``, no network hop)."""
         return self.src == self.dst
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

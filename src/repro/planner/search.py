@@ -25,9 +25,10 @@ stages:
 Candidate evaluations run through :func:`repro.bench.parallel.run_tasks`
 (``jobs > 1`` fans them out to the shared worker pool) and are memoized
 through the plan cache: each evaluation is a ``Communicator.init``, whose
-schedule and timing land in :mod:`repro.core.plancache` under the exact
-(program, machine, parameters, dtype) key — a warm search prices nothing
-twice, in this process or any worker.
+schedule lands in :mod:`repro.core.plancache` under its lowering key and
+whose timing under that key plus the libraries and dtype — candidates that
+differ only in their library vector share one lowering, and a warm search
+prices nothing twice, in this process or any worker.
 """
 
 from __future__ import annotations

@@ -24,7 +24,8 @@ group's isolated time:
 
 Re-initializing a group plan goes through ``Communicator.init`` /
 ``SubCommunicator.init``, so every synthesis and embedded pricing is
-memoized in the plan cache (group plans under ``plan_key(extra=...)`` with
+memoized in the plan cache (group lowerings under their schedule key, the
+embedded schedule and its parent-priced timing under that key extended with
 the group's placement); the descent re-simulates only the shared timeline.
 """
 

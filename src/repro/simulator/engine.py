@@ -344,6 +344,18 @@ def simulate(
                 engine="level",
             )
 
+    return event_timing(schedule, cols)
+
+
+def event_timing(schedule: Schedule, cols: PricedColumns) -> TimingResult:
+    """Event-loop timing of a nonempty ``schedule`` from its priced columns.
+
+    The event path of :func:`simulate`, for callers that already hold
+    ``price_schedule_columns(schedule, ...)`` for other uses (the serving
+    template compiler builds its booking tables from them), so no op is
+    priced twice.
+    """
+    n = len(schedule)
     indegree, dependents = _dependents(schedule.dep_indptr,
                                        schedule.dep_indices)
     start_times, completion, busy, done = _run_graph(

@@ -75,7 +75,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import JobSpec, simulate, simulate_workload
+from .engine import JobSpec, event_timing, simulate_workload
 from .level import graph_leveling
 from .timing import booking_columns, decode_resource, price_schedule_columns
 
@@ -195,8 +195,7 @@ def _compile_program(schedule, machine, libraries,
     n = len(cols)
     if n == 0:
         return None
-    event = simulate(schedule, machine, libraries, elem_bytes,
-                     engine="event")
+    event = event_timing(schedule, cols)
     start0 = np.asarray(event.start_times)
     comp0 = np.asarray(event.completion_times)
 

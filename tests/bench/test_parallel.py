@@ -75,7 +75,7 @@ class TestRunSweep:
         points = _points()[:2]
         run_tasks(points, jobs=2, cache_dir=tmp_path)
         persisted = list(tmp_path.glob(f"v{SCHEMA_VERSION}-*.npz"))
-        assert len(persisted) == 2  # one plan per distinct config
+        assert len(persisted) == 4  # schedule + timing per distinct config
 
         # A second parallel sweep hits the persistent layer instead of
         # re-synthesizing (observable as unchanged file mtimes).
@@ -90,7 +90,8 @@ class TestRunSweep:
 
         try:
             run_tasks(_points()[:1], jobs=1, cache_dir=tmp_path)
-            assert len(list(tmp_path.glob(f"v{SCHEMA_VERSION}-*.npz"))) == 1
+            # One archive per layer: the schedule and its timing.
+            assert len(list(tmp_path.glob(f"v{SCHEMA_VERSION}-*.npz"))) == 2
         finally:
             plancache.reset()
 

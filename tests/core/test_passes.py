@@ -335,3 +335,56 @@ class TestOptimizationPasses:
         with pytest.raises(ValueError, match="unknown optimization"):
             comm.init(hierarchy=[8], library=[Library.MPI],
                       optimize=("inline",), use_cache=False)
+
+
+def _digest_parts(schedule) -> tuple:
+    """Everything lowering produces: the 12 columns, the CSR dependency
+    arrays, buffer and tag names, scratch sizes and the channel count."""
+    from repro.core.schedule import COLUMNS
+
+    return (
+        tuple(getattr(schedule, name).tobytes() for name, _ in COLUMNS),
+        schedule.dep_indptr.tobytes(), schedule.dep_indices.tobytes(),
+        schedule.buffer_names, schedule.tag_names, schedule.scratch,
+        schedule.num_channels,
+    )
+
+
+#: (machine, collective) pairs whose every planner candidate the premise
+#: test lowers: the four committed systems on the cheap rooted collectives,
+#: and the two tuned-baseline systems on two all-to-all ones as well.
+_PREMISE_CASES = [
+    (system, collective)
+    for system in ("delta", "perlmutter", "frontier", "aurora")
+    for collective in ("broadcast", "reduce")
+] + [
+    (system, collective)
+    for system in ("delta", "perlmutter")
+    for collective in ("all_reduce", "all_gather")
+]
+
+
+@pytest.mark.parametrize("system,collective", _PREMISE_CASES)
+def test_lowering_never_reads_the_libraries(system, collective):
+    """The plan cache keys schedules without the library vector; that is
+    sound only while lowering ignores it.  Lowering with no libraries at
+    all must be bit-identical to lowering with each candidate's own."""
+    import dataclasses
+
+    from repro.core.composition import compose
+    from repro.planner.space import SearchSpace
+
+    machine = by_name(system, nodes=2)
+    comm = Communicator(machine, materialize=False)
+    compose(comm, collective, 64)
+    bare = {}
+    for cand in SearchSpace.build(machine, pipelines=(1, 4)).candidates():
+        plan = OptimizationPlan.create(
+            machine, cand.hierarchy, cand.libraries, stripe=cand.stripe,
+            ring=cand.ring, pipeline=cand.pipeline)
+        shape = (cand.hierarchy, cand.stripe, cand.ring, cand.pipeline)
+        if shape not in bare:
+            bare[shape] = _digest_parts(lower_program(
+                comm.program, dataclasses.replace(plan, libraries=())))
+        assert _digest_parts(lower_program(comm.program, plan)) \
+            == bare[shape], cand

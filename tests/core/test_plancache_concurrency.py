@@ -17,7 +17,13 @@ import numpy as np
 
 from repro.core.communicator import Communicator
 from repro.core.composition import compose
-from repro.core.plancache import CachedPlan, PlanCache, plan_key, plan_nbytes
+from repro.core.plancache import (
+    CachedPlan,
+    PlanCache,
+    plan_nbytes,
+    schedule_key,
+    timing_key,
+)
 from repro.machine.machines import generic
 from repro.transport.library import Library
 
@@ -29,20 +35,27 @@ COUNT = 1 << 12
 PIPELINE = 8
 
 
-def _plan_and_key(count=COUNT, pipeline=PIPELINE, tag=0):
-    """A real lowered plan plus its key (tag varies the program)."""
+def _layer_entries(count=COUNT, pipeline=PIPELINE, tag=0):
+    """A real lowered schedule and its timing, each with its layer's key
+    (tag varies the program): ``[(schedule key, entry), (timing key,
+    entry)]``."""
     comm = Communicator(MACHINE, materialize=False)
     compose(comm, "all_reduce", count + tag)
     comm.init(
         hierarchy=[2, 4], library=[Library.MPI, Library.IPC],
         stripe=1, ring=1, pipeline=pipeline,
     )
-    key = plan_key(
-        comm.program, MACHINE, [2, 4], [Library.MPI, Library.IPC],
-        stripe=1, ring=1, pipeline=pipeline, elem_bytes=4,
-        dtype_name="float32",
-    )
-    return key, CachedPlan(comm.schedule, comm.timing, 1.0)
+    skey = schedule_key(comm.program, MACHINE, [2, 4], stripe=1, ring=1,
+                        pipeline=pipeline)
+    tkey = timing_key(skey, MACHINE, [Library.MPI, Library.IPC],
+                      elem_bytes=4, dtype_name="float32")
+    return [(skey, CachedPlan(comm.schedule, None, 1.0)),
+            (tkey, CachedPlan(None, comm.timing, 1.0))]
+
+
+def _plan_and_key(count=COUNT, pipeline=PIPELINE, tag=0):
+    """The schedule-layer entry of :func:`_layer_entries`."""
+    return _layer_entries(count, pipeline, tag)[0]
 
 
 def test_same_key_concurrent_disk_stores_never_corrupt(tmp_path):
@@ -56,7 +69,7 @@ def test_same_key_concurrent_disk_stores_never_corrupt(tmp_path):
     """
     disk = tmp_path / "shared"
     writers = [PlanCache(disk_dir=disk) for _ in range(2)]
-    plans = [_plan_and_key(tag=i) for i in range(3)]
+    plans = [entry for i in range(3) for entry in _layer_entries(tag=i)]
     rounds = 6
     barrier = threading.Barrier(2 * len(plans))
     failures: list[BaseException] = []
@@ -85,11 +98,13 @@ def test_same_key_concurrent_disk_stores_never_corrupt(tmp_path):
     for key, plan in plans:
         loaded = reader.get(key)
         assert loaded is not None, f"key {key.digest[:12]} failed to load"
-        assert len(loaded.schedule) == len(plan.schedule)
-        np.testing.assert_array_equal(
-            loaded.schedule.src, plan.schedule.src
-        )
-        assert loaded.timing.elapsed == plan.timing.elapsed
+        if key.layer == "schedule":
+            assert len(loaded.schedule) == len(plan.schedule)
+            np.testing.assert_array_equal(
+                loaded.schedule.src, plan.schedule.src
+            )
+        else:
+            assert loaded.timing.elapsed == plan.timing.elapsed
     assert reader.stats.disk_errors == 0
 
 

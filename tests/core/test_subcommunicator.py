@@ -87,10 +87,39 @@ class TestSubCommunicatorTiming:
         assert a.timing.elapsed == b.timing.elapsed
 
     def test_group_space_plan_shared_across_placements(self):
-        self._tp(range(0, 4))
-        hits_before = plancache.get_cache().stats.memory_hits
-        self._tp(range(4, 8))  # same shape, different node
-        assert plancache.get_cache().stats.memory_hits > hits_before
+        first = self._tp(range(0, 4))
+        schedule = plancache.get_cache().stats.layers["schedule"]
+        hits_before = schedule.memory_hits
+        second = self._tp(range(4, 8))  # same shape, different node
+        # The group-space lowering hits; the embedding is per placement.
+        assert schedule.memory_hits == hits_before + 1
+        assert second.schedule is first.schedule
+        assert second.global_schedule is not first.global_schedule
+
+    def test_prices_only_on_the_parent_machine(self, monkeypatch):
+        """The group machine is a lowering scaffold: init never prices on
+        it, cached or not."""
+        import repro.core.communicator as comm_mod
+
+        machines = []
+        real = comm_mod.simulate
+
+        def spy(schedule, machine, *args, **kwargs):
+            machines.append(machine)
+            return real(schedule, machine, *args, **kwargs)
+
+        monkeypatch.setattr(comm_mod, "simulate", spy)
+        plancache.configure(disk_dir=None)
+        try:
+            for use_cache in (True, False):
+                comm = SubCommunicator(MACHINE, range(4, 8),
+                                       materialize=False)
+                compose(comm, "all_reduce", COUNT)
+                comm.init(hierarchy=[4], library=[Library.IPC], pipeline=2,
+                          use_cache=use_cache)
+        finally:
+            plancache.reset()
+        assert machines == [MACHINE, MACHINE]
 
     def test_cross_node_group_prices_nic_traffic(self):
         dp = SubCommunicator(MACHINE, [2, 6, 10, 14], materialize=False)

@@ -26,7 +26,13 @@ from hypothesis import strategies as st
 
 from repro.core.communicator import Communicator
 from repro.core.composition import compose
-from repro.core.plancache import CachedPlan, PlanCache, machine_fingerprint, plan_key
+from repro.core.plancache import (
+    CachedPlan,
+    PlanCache,
+    machine_fingerprint,
+    schedule_key,
+    timing_key,
+)
 from repro.errors import FaultError
 from repro.machine.faults import DOWN_SCALE, FaultSet, rates_for, resource_rate
 from repro.machine.machines import by_name
@@ -217,28 +223,33 @@ def small_plan(delta2):
 @settings(**FUZZ)
 def test_fault_sets_round_trip_the_plan_cache_without_collisions(
         seed, delta2, small_plan):
-    """Random fault sets key their own ``.npz`` plan-cache entries: the
-    degraded key never collides with healthy, the entry round-trips through
-    the disk layer intact, and the healthy key stays a miss."""
+    """Random fault sets key their own ``.npz`` plan-cache entries in both
+    layers: the degraded keys never collide with healthy ones, the entries
+    round-trip through the disk layer intact, and the healthy keys stay
+    misses."""
     faults = FaultSet.random(delta2, seed)
     degraded = faults.apply(delta2)
 
-    def _key(machine):
-        return plan_key(
-            small_plan.program, machine, (2, 4),
-            small_plan.plan.libraries, stripe=1, ring=1, pipeline=1,
-            elem_bytes=4, dtype_name="float32",
-        )
+    def _keys(machine):
+        skey = schedule_key(small_plan.program, machine, (2, 4), stripe=1,
+                            ring=1, pipeline=1)
+        return skey, timing_key(skey, machine, small_plan.plan.libraries,
+                                elem_bytes=4, dtype_name="float32")
 
-    healthy_key, degraded_key = _key(delta2), _key(degraded)
-    assert degraded_key.digest != healthy_key.digest
+    healthy, damaged = _keys(delta2), _keys(degraded)
+    for good, bad in zip(healthy, damaged):
+        assert bad.digest != good.digest
 
-    plan = CachedPlan(small_plan.schedule, small_plan.timing, 0.0)
+    entries = (CachedPlan(small_plan.schedule, None, 0.0),
+               CachedPlan(None, small_plan.timing, 0.0))
     with tempfile.TemporaryDirectory() as tmp:
-        PlanCache(disk_dir=tmp).put(degraded_key, plan)
+        writer = PlanCache(disk_dir=tmp)
+        for key, entry in zip(damaged, entries):
+            writer.put(key, entry)
         fresh = PlanCache(disk_dir=tmp)
-        got = fresh.get(degraded_key)
-        assert got is not None
-        assert got.timing.elapsed == plan.timing.elapsed
-        assert len(got.schedule) == len(plan.schedule)
-        assert fresh.get(healthy_key) is None
+        schedule = fresh.get(damaged[0])
+        timing = fresh.get(damaged[1])
+        assert schedule is not None and timing is not None
+        assert timing.timing.elapsed == small_plan.timing.elapsed
+        assert len(schedule.schedule) == len(small_plan.schedule)
+        assert all(fresh.get(key) is None for key in healthy)

@@ -139,6 +139,26 @@ class TestServingEngine:
             for rc in classes:
                 assert rc.template.replayable, rc.name
 
+    def test_template_compile_prices_each_op_once(self, built, monkeypatch):
+        """Compiling a template prices its schedule once: the zero-offset
+        event run reuses the booking tables' priced columns."""
+        from repro.simulator import engine, serving, timing
+
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(len(args[0]))
+            return timing.price_schedule_columns(*args, **kwargs)
+
+        monkeypatch.setattr(serving, "price_schedule_columns", counted)
+        monkeypatch.setattr(engine, "price_schedule_columns", counted)
+        template = built["prefill_decode"][0][0].template
+        again = serving.make_template(template.name, template.schedule,
+                                      MACHINE, template.libraries,
+                                      template.elem_bytes)
+        assert calls == [len(template.schedule)]
+        assert again.replayable
+
 
 class TestArrivals:
     def test_poisson_trace_is_seed_deterministic(self):

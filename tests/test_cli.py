@@ -181,6 +181,39 @@ class TestCommands:
         assert rc == 0
         out = capsys.readouterr().out
         assert "plan cache" in out and "disk layer" in out
+        assert "schedule layer:" in out and "timing layer:" in out
+
+    def test_cache_reports_both_layers(self, capsys):
+        """Text and ``--json`` both report each layer's entries and
+        lookups: one init makes one entry and one miss in each."""
+        import json
+
+        from repro.core import plancache
+        from repro.core.communicator import Communicator
+        from repro.core.composition import compose
+        from repro.machine.machines import generic
+        from repro.transport.library import Library
+
+        plancache.configure(disk_dir=None)
+        try:
+            comm = Communicator(generic(2, 2, 1, name="clicache"),
+                                materialize=False)
+            compose(comm, "broadcast", 64)
+            comm.init(hierarchy=[2, 2], library=[Library.MPI, Library.IPC])
+            assert main(["cache"]) == 0
+            out = capsys.readouterr().out
+            for name in ("schedule", "timing"):
+                assert (f"{name} layer: 1 entries" in out), out
+            assert main(["cache", "--json"]) == 0
+            doc = json.loads(capsys.readouterr().out)["in_process"]
+            assert set(doc["layers"]) == {"schedule", "timing"}
+            for layer in doc["layers"].values():
+                assert (layer["entries"], layer["lookups"],
+                        layer["misses"], layer["stores"]) == (1, 1, 1, 1)
+                assert layer["bytes"] > 0
+            assert doc["entries"] == 2 and doc["misses"] == 2
+        finally:
+            plancache.reset()
 
     def test_cache_counts_loadable_plans_and_stale_files(
             self, tmp_path, monkeypatch, capsys):
@@ -191,14 +224,14 @@ class TestCommands:
         from repro.core import plancache
 
         current = f"v{plancache.SCHEMA_VERSION}-a.npz"
-        for name in (current, "v1-b.npz", "v1-c.pkl"):
+        for name in (current, "v2-b.npz", "v1-c.pkl"):
             (tmp_path / name).write_bytes(b"x" * 10)
         monkeypatch.setenv(plancache.ENV_CACHE_DIR, str(tmp_path))
         plancache.configure(disk_dir=None)
         try:
             assert main(["cache"]) == 0
             out = capsys.readouterr().out
-            assert "1 persisted plan(s)" in out
+            assert "1 persisted entry file(s)" in out
             assert "2 stale file(s)" in out
             assert main(["cache", "--json"]) == 0
             disk = json.loads(capsys.readouterr().out)["disk"]

@@ -1,5 +1,5 @@
 #!/usr/bin/env python
-"""Docstring coverage checker for the workload/simulator/planner/model layers.
+"""Docstring coverage checker for the core/workload/simulator/planner/model layers.
 
 Every *public* module, class, function, and method under the checked
 directories must carry a docstring — these layers define the workload and
@@ -26,7 +26,7 @@ CHECKED_DIRS = (
     "src/repro/simulator",
     "src/repro/planner",
     "src/repro/model",
-    "src/repro/core/passes",
+    "src/repro/core",
     "src/repro/service",
     "src/repro/serving",
     "src/repro/analysis",
